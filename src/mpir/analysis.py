@@ -27,71 +27,18 @@ from .errors import ConfigMismatchError, DegenerateInputError, InvalidParameterE
 from .pulses import CorrelationFunction, cross_correlation, grid_index
 from .transceiver import SystemConfig, decision_statistic, select_combiner
 
-_SQRT_PI = math.sqrt(math.pi)
 _SQRT_2 = math.sqrt(2.0)
-
-
-def _erfc_positive(z: float) -> float:
-    """erfc(z) for z >= 0 to ~1e-15 relative accuracy.
-
-    Below z = 2 the Taylor series of erf is summed directly; above,
-    the Laplace continued fraction is evaluated with the modified
-    Lentz scheme.
-    """
-    if z == 0.0:
-        return 1.0
-    if z < 2.0:
-        z2 = z * z
-        term = z
-        acc = z
-        n = 0
-        while True:
-            n += 1
-            term *= -z2 / n
-            contrib = term / (2 * n + 1)
-            acc += contrib
-            if abs(contrib) <= 1e-18 * abs(acc):
-                break
-        return 1.0 - (2.0 / _SQRT_PI) * acc
-    ez2 = math.exp(-z * z)
-    if ez2 == 0.0:
-        return 0.0
-    tiny = 1e-300
-    f = z
-    c = f
-    d = 0.0
-    for k in range(1, 200):
-        a = 0.5 * k
-        d = z + a * d
-        if d == 0.0:
-            d = tiny
-        c = z + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return ez2 / (_SQRT_PI * f)
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def qfunc(x):
-    """Gaussian tail probability Q(x) = P(N(0,1) > x) = erfc(x / sqrt 2) / 2."""
+    """Gaussian tail probability Q(x) = P(N(0,1) > x) = erfc(x / sqrt 2) / 2.
+
+    A scalar gives a Python float; an array gives an array of the same shape.
+    """
     if np.ndim(x) == 0:
-        z = float(x) / _SQRT_2
-        return 0.5 * _erfc_positive(z) if z >= 0 else 1.0 - 0.5 * _erfc_positive(-z)
-    return np.array([qfunc(v) for v in np.asarray(x, dtype=float)])
-
-
-def correlation_functional(u, v) -> CorrelationFunction:
-    """phi_uv(x) = integral u(t - x) v(t) dt for composite waveforms."""
-    return cross_correlation(u, v)
-
-
-def _zero_lag(u, v) -> float:
-    """phi_uv(0) as an exact aligned inner product."""
-    return decision_statistic(u, v)
+        return 0.5 * math.erfc(float(x) / _SQRT_2)
+    return 0.5 * _erfc(np.asarray(x, dtype=float) / _SQRT_2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +114,7 @@ def mai_variance_multi(interferer_sets, templates, config: SystemConfig) -> MaiV
         if len(u_set) != n_p:
             raise ConfigMismatchError(f"interferer {k} must supply {n_p} composites")
         for j in range(n_p):
-            phis = [correlation_functional(u_set[r], templates[j]) for r in range(n_p)]
+            phis = [cross_correlation(u_set[r], templates[j]) for r in range(n_p)]
             per_frame[k, j] = _sigma2_frame(phis, j, config, dt)
     scale = config.frames_per_symbol * config.hop_positions**2
     total = float(per_frame.sum() / scale)
@@ -187,7 +134,7 @@ def mai_variance_classical(u, v, config: SystemConfig) -> float:
     n_h = config.hop_positions
     chip = config.chip_samples(dt)
     frame = config.frame_samples(dt)
-    cs, q0, n = _phi_sq_cumsum(correlation_functional(u, v))
+    cs, q0, n = _phi_sq_cumsum(cross_correlation(u, v))
     total = 0.0
     for l in range(1 - n_h, n_h):
         start = l * chip - frame + q0
@@ -235,7 +182,7 @@ def bep_multi(desired, templates, mai, config: SystemConfig) -> BepResult:
     n_p = config.pulse_types
     if len(desired) != n_p or len(templates) != n_p:
         raise ConfigMismatchError(f"need {n_p} desired composites and templates")
-    signal = sum(_zero_lag(u, v) for u, v in zip(desired, templates)) / math.sqrt(n_p)
+    signal = sum(decision_statistic(u, v) for u, v in zip(desired, templates)) / math.sqrt(n_p)
     mai_term = float(mai.total) if isinstance(mai, MaiVariance) else float(mai)
     noise_term = config.noise_sigma**2 * sum(v.energy for v in templates)
     return _bep_from_terms(signal, mai_term, noise_term)
@@ -245,7 +192,7 @@ def bep_single(u, v, interferer_variances, config: SystemConfig) -> BepResult:
     """Single-pulse BEP:
     pe = Q( phi_uv(0) / sqrt((1/(N_f N_h^2)) sum_k sigma2_M(k)
                              + noise_sigma^2 phi_v(0)) )."""
-    signal = _zero_lag(u, v)
+    signal = decision_statistic(u, v)
     var_sum = float(np.sum(np.asarray(interferer_variances, dtype=float)))
     mai_term = var_sum / (config.frames_per_symbol * config.hop_positions**2)
     noise_term = config.noise_sigma**2 * v.energy
@@ -284,7 +231,7 @@ def conditional_bep_terms(
         [composite_waveform(p, ch, ch.gains) for p in pulses] for ch in interferer_chans
     ]
     n_p = config.pulse_types
-    signal = sum(_zero_lag(u, v) for u, v in zip(desired, templates)) / math.sqrt(n_p)
+    signal = sum(decision_statistic(u, v) for u, v in zip(desired, templates)) / math.sqrt(n_p)
     mai = mai_variance_multi(interferer_sets, templates, config)
     energy = sum(v.energy for v in templates)
     return signal, mai, energy
@@ -327,11 +274,10 @@ def bep_averaged(
             config, pulses, desired, interferers, scheme, selection, n_paths
         )
         mai_out[i] = mai.output_variance
-        for s_idx, s in enumerate(sigmas):
-            denom = mai.total + s**2 * energy
-            if denom <= 0.0:
-                raise DegenerateInputError("BEP denominator is zero")
-            pes[i, s_idx] = qfunc(signal / math.sqrt(denom))
+        denom = mai.total + sigmas**2 * energy
+        if np.any(denom <= 0.0):
+            raise DegenerateInputError("BEP denominator is zero")
+        pes[i] = qfunc(signal / np.sqrt(denom))
     pe = pes.mean(axis=0)
     stderr = (
         pes.std(axis=0, ddof=1) / math.sqrt(n_realizations)

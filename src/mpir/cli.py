@@ -43,11 +43,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, montecarlo, spectral
+from . import analysis, errors, montecarlo, spectral
 from .channel import ChannelParams, composite_waveform, sample_channel
-from .errors import InvalidParameterError
 from .montecarlo import TrialPlan, rng_stream
-from .pulses import grid_index, make_mhp
+from .pulses import make_mhp
 from .transceiver import (
     SystemConfig,
     check_pulse_fits,
@@ -61,6 +60,14 @@ SCHEMA = "mpir-experiment/1"
 
 class ConfigError(ValueError):
     """A problem with the experiment file."""
+
+
+# Malformed config or arguments: main reports them on one line, exit code 2.
+_INPUT_ERRORS = (
+    ConfigError, FileNotFoundError, errors.InvalidParameterError, errors.ResolutionError,
+    errors.DegenerateInputError, errors.GridMismatchError, errors.ConfigMismatchError,
+    errors.InsufficientDataError, errors.InfeasibleGeometryError,
+)
 
 
 def ebn0_db_to_noise_sigma(ebn0_db: float) -> float:
@@ -112,8 +119,6 @@ class ExperimentConfig:
     def make_pulses(self):
         pulses = []
         for spec in self.pulse_specs:
-            if spec["kind"] != "mhp":
-                raise ConfigError(f"unsupported pulse kind {spec['kind']!r}")
             pulses.append(make_mhp(int(spec["order"]), float(spec["width_ns"]), self.sample_step))
         check_pulse_fits(pulses, self.system)
         return pulses
@@ -143,6 +148,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for i, p in enumerate(pulses):
         spec = _section({"p": p}, "p", {"kind": "mhp", "order": ..., "width_ns": 0.05},
                         f"config.pulses[{i}]")
+        if spec["kind"] != "mhp":
+            raise ConfigError(f"unsupported pulse kind {spec['kind']!r} in config.pulses[{i}]")
         pulse_specs.append(spec)
     if "sample_step_ns" not in raw:
         raise ConfigError("missing required key config.sample_step_ns")
@@ -188,8 +195,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
             max_bits=None if trials_d["max_bits"] is None else int(trials_d["max_bits"]),
             min_realizations=int(trials_d["min_realizations"]),
         )
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+        sweep_db = tuple(float(x) for x in sweep)
+        theory_realizations = int(raw.get("theory_realizations", 500))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config value: {exc}") from exc
+    if any(math.isnan(db) for db in sweep_db):
+        raise ConfigError("config.sweep_ebn0_db entries must be numbers, got NaN")
+    if theory_realizations < 1:
+        raise ConfigError("config.theory_realizations must be >= 1")
 
     resolved = {
         "schema": SCHEMA,
@@ -200,7 +213,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         "combiner": comb_d,
         "sweep_ebn0_db": list(sweep),
         "trials": trials_d,
-        "theory_realizations": int(raw.get("theory_realizations", 500)),
+        "theory_realizations": theory_realizations,
         "psd": psd_d,
     }
     return ExperimentConfig(
@@ -211,9 +224,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         scheme=str(comb_d["scheme"]),
         selection=str(comb_d["selection"]),
         combiner_paths=None if comb_d["paths"] is None else int(comb_d["paths"]),
-        sweep_ebn0_db=tuple(float(x) for x in sweep),
+        sweep_ebn0_db=sweep_db,
         plan=plan,
-        theory_realizations=int(raw.get("theory_realizations", 500)),
+        theory_realizations=theory_realizations,
         psd_symbols=int(psd_d["symbols"]),
         psd_segment_symbols=int(psd_d["segment_symbols"]),
         resolved=resolved,
@@ -252,27 +265,29 @@ def _write_rows(path: Path, header: str, columns: str, rows) -> None:
             fh.write("\n")
 
 
-def cmd_psd(cfg: ExperimentConfig, out_dir: Path, seed: int, threads: int = 1) -> Path:
-    """Analytic vs empirical PSD of the noise-free single-user signal."""
-    pulses = cfg.make_pulses()
-    config = cfg.system
-    dt = cfg.sample_step
-    rng = rng_stream(seed, 0)
-    n_sym = cfg.psd_symbols
-    n_seg = n_sym // cfg.psd_segment_symbols
-    seg_len = cfg.psd_segment_symbols * config.symbol_samples(dt)
+def _psd_experiment(cfg: ExperimentConfig, pulses, n_sym: int, rng: np.random.Generator):
+    """(analytic, empirical, band, mismatch) for n_sym random symbols of the
+    noise-free single-user signal.
 
+    The transmitted block starts at the earliest pulse sample of frame 0,
+    so every periodogram segment is symbol-aligned.
+    """
+    config = cfg.system
+    sym = config.symbol_samples(cfg.sample_step)
+    seg_len = cfg.psd_segment_symbols * sym
     bits = rng.integers(0, 2, n_sym) * 2 - 1
     codes = generate_codes(config, n_sym * config.frames_per_symbol, rng)
     block = transmit_block(config, pulses, bits, codes)
-    # Align segments with the frame origin so each segment holds whole pulses.
-    trim = -grid_index(block.t0, dt) + min(grid_index(p.t0, dt) for p in pulses)
-    signal = replace(block, samples=block.samples[trim:], t0=0.0)
-
-    empirical = spectral.empirical_psd(signal, seg_len, n_seg, symbol_samples=config.symbol_samples(dt))
+    empirical = spectral.empirical_psd(block, seg_len, n_sym // cfg.psd_segment_symbols, symbol_samples=sym)
     analytic = spectral.analytic_psd(pulses, config, seg_len)
     band = spectral.band_containing(analytic, 0.99)
-    mismatch = spectral.psd_mismatch(analytic, empirical, band)
+    return analytic, empirical, band, spectral.psd_mismatch(analytic, empirical, band)
+
+
+def cmd_psd(cfg: ExperimentConfig, out_dir: Path, seed: int) -> Path:
+    """Analytic vs empirical PSD of the noise-free single-user signal."""
+    pulses = cfg.make_pulses()
+    analytic, empirical, band, mismatch = _psd_experiment(cfg, pulses, cfg.psd_symbols, rng_stream(seed, 0))
 
     sel = analytic.freqs >= 0.0
     rows = []
@@ -289,7 +304,7 @@ def cmd_psd(cfg: ExperimentConfig, out_dir: Path, seed: int, threads: int = 1) -
     return out
 
 
-def cmd_bep(cfg: ExperimentConfig, out_dir: Path, seed: int, threads: int = 1) -> Path:
+def cmd_bep(cfg: ExperimentConfig, out_dir: Path, seed: int) -> Path:
     """Channel-averaged theory BEP across the Eb/N0 sweep."""
     if not cfg.sweep_ebn0_db:
         raise ConfigError("sweep_ebn0_db is empty: nothing to compute")
@@ -347,21 +362,10 @@ def _validate_checks(cfg: ExperimentConfig, seed: int, noise_std_scale: float = 
     """Run the oracle suite on a reduced budget; yield (name, ok, detail)."""
     pulses = cfg.make_pulses()
     config = cfg.system
-    dt = cfg.sample_step
 
     # 1. analytic vs empirical PSD; 800 one-symbol segments put the
     # periodogram noise floor near 3%, well under the 5% gate
-    rng = rng_stream(seed, 10)
-    n_sym = 800
-    seg_len = cfg.psd_segment_symbols * config.symbol_samples(dt)
-    bits = rng.integers(0, 2, n_sym) * 2 - 1
-    codes = generate_codes(config, n_sym * config.frames_per_symbol, rng)
-    block = transmit_block(config, pulses, bits, codes)
-    trim = -grid_index(block.t0, dt) + min(grid_index(p.t0, dt) for p in pulses)
-    signal = replace(block, samples=block.samples[trim:], t0=0.0)
-    empirical = spectral.empirical_psd(signal, seg_len, n_sym // cfg.psd_segment_symbols)
-    analytic_sd = spectral.analytic_psd(pulses, config, seg_len)
-    mism = spectral.psd_mismatch(analytic_sd, empirical, spectral.band_containing(analytic_sd, 0.99))
+    *_, mism = _psd_experiment(cfg, pulses, 800, rng_stream(seed, 10))
     yield "psd analytic/empirical mismatch <= 0.05", mism <= 0.05, f"measured {mism:.4f}"
 
     # 2. channel energy normalization
@@ -416,8 +420,7 @@ def _validate_checks(cfg: ExperimentConfig, seed: int, noise_std_scale: float = 
     yield "single-pulse reduction identity <= 1e-12", diff <= 1e-12, f"relative diff {diff:.2e}"
 
 
-def cmd_validate(cfg: ExperimentConfig, out_dir: Path, seed: int, threads: int = 1,
-                 noise_std_scale: float = 1.0) -> int:
+def cmd_validate(cfg: ExperimentConfig, out_dir: Path, seed: int, noise_std_scale: float = 1.0) -> int:
     """Run the oracle suite, print one pass/fail line per check."""
     failures = 0
     lines = []
@@ -438,32 +441,25 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the experiment JSON file")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--out", default="out", help="output directory (created if missing)")
-    parser.add_argument("--threads", type=int, default=1, help="worker count; does not affect results")
+    parser.add_argument("--threads", type=int, default=1, help="worker count for sim; does not affect results")
     args = parser.parse_args(argv)
 
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
         cfg = load_config(args.config)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    seed = args.seed if args.seed is not None else cfg.plan.master_seed
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    try:
+        seed = args.seed if args.seed is not None else cfg.plan.master_seed
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "psd":
-            path = cmd_psd(cfg, out_dir, seed, args.threads)
+            path = cmd_psd(cfg, out_dir, seed)
         elif args.command == "bep":
-            path = cmd_bep(cfg, out_dir, seed, args.threads)
+            path = cmd_bep(cfg, out_dir, seed)
         elif args.command == "sim":
             path = cmd_sim(cfg, out_dir, seed, args.threads)
         else:
-            return cmd_validate(cfg, out_dir, seed, args.threads)
-    except ConfigError as exc:
+            return cmd_validate(cfg, out_dir, seed)
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -13,19 +13,21 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .analysis import correlation_functional
 from .channel import ChannelParams, ChannelRealization, composite_waveform, sample_channel
 from .errors import InfeasibleGeometryError, InvalidParameterError
-from .pulses import grid_index
+from .pulses import cross_correlation, grid_index
 from .transceiver import (
     SystemConfig,
     _assemble,
     generate_codes,
     rake_template,
+    received_block,
     select_combiner,
 )
 
@@ -145,67 +147,6 @@ def realization_channels(
     return desired, interferers
 
 
-def _simulate_realization(
-    config: SystemConfig,
-    pulses,
-    channel_params: ChannelParams,
-    scheme: str,
-    selection: str,
-    n_paths,
-    n_bits: int,
-    master_seed: int,
-    index: int,
-) -> tuple[int, int]:
-    """Detect n_bits bits for one channel realization; return (errors, bits)."""
-    dt = pulses[0].dt
-    n_f = config.frames_per_symbol
-    sym = config.symbol_samples(dt)
-    rng_tr = rng_stream(master_seed, index, _ROLE_TRAFFIC)
-    rng_nz = rng_stream(master_seed, index, _ROLE_NOISE)
-
-    desired_chan, interferer_chans = realization_channels(
-        config, channel_params, master_seed, index
-    )
-
-    comb = select_combiner(desired_chan, scheme, selection, n_paths)
-    desired = [composite_waveform(p, desired_chan, desired_chan.gains) for p in pulses]
-    templates = [composite_waveform(p, desired_chan, comb.beta) for p in pulses]
-    _check_frame_separable(desired, config, dt)
-    _check_frame_separable(templates, config, dt)
-
-    bits = rng_tr.integers(0, 2, n_bits) * 2 - 1
-    codes = generate_codes(config, n_bits * n_f, rng_tr)
-    root = 1.0 / math.sqrt(n_f)
-
-    template_block = _assemble(config, templates, codes.th, codes.polarity.astype(float))
-    desired_block = _assemble(
-        config, desired, codes.th, codes.polarity * np.repeat(bits, n_f) * root
-    )
-
-    window_start = grid_index(template_block.t0, dt)
-    n_win = n_bits * sym
-    received = np.zeros(n_win)
-    _add_clipped(received, desired_block.samples, grid_index(desired_block.t0, dt) - window_start)
-
-    for chan in interferer_chans:
-        bits_k = rng_tr.integers(0, 2, n_bits + 1) * 2 - 1
-        codes_k = generate_codes(config, (n_bits + 1) * n_f, rng_tr)
-        offset_idx = int(rng_tr.integers(0, sym))
-        u_set = [composite_waveform(p, chan, chan.gains) for p in pulses]
-        block = _assemble(config, u_set, codes_k.th, codes_k.polarity * np.repeat(bits_k, n_f) * root)
-        start = grid_index(block.t0, dt) + offset_idx - sym - window_start
-        _add_clipped(received, block.samples, start)
-
-    if config.noise_sigma > 0:
-        received += (config.noise_sigma / math.sqrt(dt)) * rng_nz.standard_normal(n_win)
-
-    template = np.zeros(n_win)
-    _add_clipped(template, template_block.samples, 0)
-    decisions = dt * (received * template).reshape(n_bits, sym).sum(axis=1)
-    errors = int(np.count_nonzero(decisions * bits <= 0))
-    return errors, n_bits
-
-
 def run_realization(
     config: SystemConfig,
     pulses,
@@ -224,10 +165,50 @@ def run_realization(
     realization's own streams, so a conditional BER can be refined with a
     larger n_bits on the same channel draw.
     """
-    return _simulate_realization(
-        config, pulses, channel_params, scheme, selection, n_paths,
-        n_bits, master_seed, index,
+    dt = pulses[0].dt
+    n_f = config.frames_per_symbol
+    sym = config.symbol_samples(dt)
+    rng_tr = rng_stream(master_seed, index, _ROLE_TRAFFIC)
+    rng_nz = rng_stream(master_seed, index, _ROLE_NOISE)
+
+    desired_chan, interferer_chans = realization_channels(
+        config, channel_params, master_seed, index
     )
+
+    comb = select_combiner(desired_chan, scheme, selection, n_paths)
+    desired = [composite_waveform(p, desired_chan, desired_chan.gains) for p in pulses]
+    templates = [composite_waveform(p, desired_chan, comb.beta) for p in pulses]
+    _check_frame_separable(desired, config, dt)
+    _check_frame_separable(templates, config, dt)
+
+    bits = rng_tr.integers(0, 2, n_bits) * 2 - 1
+    codes = generate_codes(config, n_bits * n_f, rng_tr)
+
+    template_block = _assemble(config, templates, codes.th, codes.polarity.astype(float))
+    desired_block = received_block(config, desired, bits, codes)
+
+    window_start = grid_index(template_block.t0, dt)
+    n_win = n_bits * sym
+    received = np.zeros(n_win)
+    _add_clipped(received, desired_block.samples, grid_index(desired_block.t0, dt) - window_start)
+
+    for chan in interferer_chans:
+        bits_k = rng_tr.integers(0, 2, n_bits + 1) * 2 - 1
+        codes_k = generate_codes(config, (n_bits + 1) * n_f, rng_tr)
+        offset_idx = int(rng_tr.integers(0, sym))
+        u_set = [composite_waveform(p, chan, chan.gains) for p in pulses]
+        block = received_block(config, u_set, bits_k, codes_k)
+        start = grid_index(block.t0, dt) + offset_idx - sym - window_start
+        _add_clipped(received, block.samples, start)
+
+    if config.noise_sigma > 0:
+        received += (config.noise_sigma / math.sqrt(dt)) * rng_nz.standard_normal(n_win)
+
+    template = np.zeros(n_win)
+    _add_clipped(template, template_block.samples, 0)
+    decisions = dt * (received * template).reshape(n_bits, sym).sum(axis=1)
+    errors = int(np.count_nonzero(decisions * bits <= 0))
+    return errors, n_bits
 
 
 def _stopped(errors: int, bits: int, used: int, plan: TrialPlan) -> bool:
@@ -262,33 +243,24 @@ def run_ber(
 
     Per realization: draw desired and interferer channels, offsets, codes
     and bits, assemble the received signal, detect each bit by the sign of
-    the template correlation.  Deterministic for a fixed plan at any
+    the template correlation.  Realizations run in waves of max(1, threads),
+    in process for one thread and on a process pool otherwise; the stop
+    rule is checked after each wave.  Deterministic for a fixed plan at any
     thread count.
     """
-    def args(r):
-        return (
-            config, pulses, channel_params, scheme, selection, n_paths,
-            plan.bits_per_realization, plan.master_seed, r,
-        )
-
+    worker = partial(
+        run_realization, config, pulses, channel_params,
+        plan.bits_per_realization, plan.master_seed,
+        scheme=scheme, selection=selection, n_paths=n_paths,
+    )
+    wave = max(1, threads)
     collected: list[tuple[int, int]] = []
-    if threads <= 1:
-        for r in range(plan.n_realizations):
-            collected.append(_simulate_realization(*args(r)))
-            errors, bits, used = _scan_stop(collected, plan)
-            if _stopped(errors, bits, used, plan):
+    with ProcessPoolExecutor(max_workers=wave) if wave > 1 else nullcontext() as pool:
+        run_wave = pool.map if pool else map
+        for start in range(0, plan.n_realizations, wave):
+            collected.extend(run_wave(worker, range(start, min(start + wave, plan.n_realizations))))
+            if _stopped(*_scan_stop(collected, plan), plan):
                 break
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            r = 0
-            while r < plan.n_realizations:
-                wave = range(r, min(r + threads, plan.n_realizations))
-                futures = [pool.submit(_simulate_realization, *args(i)) for i in wave]
-                collected.extend(f.result() for f in futures)
-                r = wave.stop
-                errors, bits, used = _scan_stop(collected, plan)
-                if _stopped(errors, bits, used, plan):
-                    break
     errors, bits, used = _scan_stop(collected, plan)
     return BerEstimate(
         errors=errors,
@@ -332,7 +304,7 @@ def estimate_mai_variance(
     comb = select_combiner(desired_chan, scheme, selection, n_paths)
     v = composite_waveform(pulses[frame % n_p], desired_chan, comb.beta)
     u_set = [composite_waveform(p, interferer_chan, interferer_chan.gains) for p in pulses]
-    phis = [correlation_functional(u, v) for u in u_set]
+    phis = [cross_correlation(u, v) for u in u_set]
     q0s = [grid_index(-phi.lag0, dt) for phi in phis]
 
     lag_lo = min(-q0 for q0 in q0s)

@@ -36,6 +36,9 @@ TRUNCATION_LEVEL = 1e-6
 # Relative slack when deciding whether a time lands on the sample grid.
 _GRID_TOL = 1e-6
 
+# Relative slack when deciding whether two waveforms share one sample step.
+_DT_TOL = 1e-9
+
 
 def grid_index(x: float, dt: float) -> int:
     """Nearest grid index for time ``x`` on a grid of step ``dt``.
@@ -193,10 +196,13 @@ def normalize_energy(p: Pulse) -> Pulse:
     return Pulse(p.samples / math.sqrt(e), p.dt, p.t0, p.label)
 
 
-def _check_common_dt(a, b) -> float:
-    if abs(a.dt - b.dt) > _GRID_TOL * a.dt:
-        raise GridMismatchError(f"sample steps differ: {a.dt} vs {b.dt} (resampling is out of scope)")
-    return a.dt
+def _common_dt(waves) -> float:
+    """The sample step shared by ``waves``; resampling is out of scope."""
+    dt = waves[0].dt
+    for w in waves[1:]:
+        if abs(w.dt - dt) > _DT_TOL * dt:
+            raise GridMismatchError(f"sample steps differ: {dt} vs {w.dt} (resampling is out of scope)")
+    return dt
 
 
 def cross_correlation(a, b) -> CorrelationFunction:
@@ -207,7 +213,7 @@ def cross_correlation(a, b) -> CorrelationFunction:
     Accepts any two objects with samples/dt/t0 attributes (pulses or
     channel composites).
     """
-    dt = _check_common_dt(a, b)
+    dt = _common_dt((a, b))
     ar = np.asarray(a.samples, dtype=float)[::-1]
     bs = np.asarray(b.samples, dtype=float)
     n = len(ar) + len(bs) - 1

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigMismatchError, GridMismatchError, InsufficientDataError, InvalidParameterError
+from .errors import GridMismatchError, InsufficientDataError, InvalidParameterError
 from .pulses import cross_correlation, pulse_spectrum
+from .transceiver import _check_pulse_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,20 +60,6 @@ class AvgAutocorrelation:
         values.setflags(write=False)
         object.__setattr__(self, "lags", lags)
         object.__setattr__(self, "values", values)
-
-
-def _check_pulse_set(pulses, config):
-    if len(pulses) != config.pulse_types:
-        raise ConfigMismatchError(
-            f"config expects {config.pulse_types} pulse types, got {len(pulses)}"
-        )
-    dt = pulses[0].dt
-    for p in pulses:
-        if abs(p.dt - dt) > 1e-9 * dt:
-            raise GridMismatchError("pulses must share one sample step")
-        if abs(p.energy - 1.0) > 1e-6:
-            raise InvalidParameterError(f"pulse {getattr(p, 'label', '?')} is not unit energy")
-    return dt
 
 
 def analytic_autocorrelation(pulses, config) -> AvgAutocorrelation:

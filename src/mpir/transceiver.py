@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, CompositeWaveform
-from .errors import ConfigMismatchError, GridMismatchError, InvalidParameterError
-from .pulses import grid_count, grid_index
+from .errors import ConfigMismatchError, InvalidParameterError
+from .pulses import _common_dt, grid_count, grid_index
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,17 @@ class SystemConfig:
 
     def symbol_samples(self, dt: float) -> int:
         return self.frames_per_symbol * self.frame_samples(dt)
+
+
+def _check_pulse_set(pulses, config: SystemConfig) -> float:
+    """One unit-energy pulse per pulse type, all on one sample step; returns dt."""
+    if len(pulses) != config.pulse_types:
+        raise ConfigMismatchError(f"need {config.pulse_types} pulses, got {len(pulses)}")
+    dt = _common_dt(pulses)
+    for p in pulses:
+        if abs(p.energy - 1.0) > 1e-6:
+            raise InvalidParameterError(f"pulse {getattr(p, 'label', '?')} is not unit energy")
+    return dt
 
 
 def check_pulse_fits(pulses, config: SystemConfig) -> None:
@@ -167,14 +178,6 @@ def select_combiner(
     return RakeCombiner(beta, scheme, selection if selection == "all" else f"{selection}({n_paths})")
 
 
-def _common_dt(waves) -> float:
-    dt = waves[0].dt
-    for w in waves[1:]:
-        if abs(w.dt - dt) > 1e-9 * dt:
-            raise GridMismatchError("frame waveforms must share one sample step")
-    return dt
-
-
 def _assemble(
     config: SystemConfig,
     waves,
@@ -217,24 +220,15 @@ def transmit_block(config: SystemConfig, pulses, bits, codes: CodeSequences) -> 
     s(t) = (1/sqrt(N_f)) sum_j d_j b_{j div N_f} p_{j mod N_p}(t - j*T_f - c_j*T_c),
     with the pulse index cycling through the N_p shapes frame by frame.
     """
-    bits = np.asarray(bits, dtype=float)
-    if len(pulses) != config.pulse_types:
-        raise ConfigMismatchError(
-            f"need {config.pulse_types} pulses, got {len(pulses)}"
-        )
-    for p in pulses:
-        if abs(p.energy - 1.0) > 1e-6:
-            raise InvalidParameterError(f"pulse {getattr(p, 'label', '?')} is not unit energy")
+    _check_pulse_set(pulses, config)
     check_pulse_fits(pulses, config)
-    if len(codes) != len(bits) * config.frames_per_symbol:
-        raise ConfigMismatchError("codes must supply one entry per frame of the block")
-    amps = codes.polarity * np.repeat(bits, config.frames_per_symbol) / math.sqrt(config.frames_per_symbol)
-    return _assemble(config, pulses, codes.th, amps)
+    return received_block(config, pulses, bits, codes)
 
 
 def received_block(config: SystemConfig, composites, bits, codes: CodeSequences) -> CompositeWaveform:
-    """One user's channel-convolved block: transmit_block with the received
-    composite waveforms in place of the clean pulses."""
+    """One user's block built from the given frame waveforms (the clean
+    pulses in transmit_block, channel-convolved composites at a receiver):
+    frame j carries amplitude d_j b_{j div N_f} / sqrt(N_f)."""
     bits = np.asarray(bits, dtype=float)
     if len(composites) != config.pulse_types:
         raise ConfigMismatchError(f"need {config.pulse_types} composites, got {len(composites)}")
@@ -311,9 +305,7 @@ def decision_statistic(received: CompositeWaveform, template: CompositeWaveform)
     The bit decision is sign(Y).  Both waveforms must share the sample
     grid; their relative shift must be a whole number of samples.
     """
-    if abs(received.dt - template.dt) > 1e-9 * template.dt:
-        raise GridMismatchError("received and template sample steps differ")
-    dt = template.dt
+    dt = _common_dt((template, received))
     k = grid_count(template.t0 - received.t0, dt, "template alignment")
     lo = max(0, k)
     hi = min(len(received.samples), k + len(template.samples))

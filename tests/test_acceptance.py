@@ -240,6 +240,7 @@ class TestA4NoiseVariance:
         )
 
 
+@pytest.mark.slow
 class TestA5Figure1Reproduction:
     def test_double_pulse_beats_single_everywhere(self, sweep_experiment):
         th_d = sweep_experiment["theory"]["double"].pe
@@ -269,6 +270,7 @@ class TestA5Figure1Reproduction:
         )
 
 
+@pytest.mark.slow
 class TestA6SgaBehavior:
     def test_agreement_at_low_snr(self, sweep_experiment):
         detail = []

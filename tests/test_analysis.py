@@ -12,7 +12,6 @@ from mpir.analysis import (
     bep_multi,
     bep_single,
     conditional_bep_terms,
-    correlation_functional,
     mai_variance_classical,
     mai_variance_multi,
     noise_variance,
@@ -50,6 +49,19 @@ class TestQFunc:
 
     def test_deep_tail_finite(self):
         assert 0.0 < qfunc(12.0) < 1e-30
+
+    def test_scalar_returns_python_float(self):
+        assert type(qfunc(1.5)) is float
+        assert type(qfunc(np.float64(1.5))) is float
+        assert type(qfunc(np.array(1.5))) is float
+
+    def test_array_equals_scalar_calls(self):
+        x = np.linspace(-9.0, 40.0, 977)
+        assert qfunc(x).tolist() == [qfunc(v) for v in x]
+
+    def test_saturates_far_out(self):
+        assert qfunc(40.0) == 0.0
+        assert qfunc(-40.0) == 1.0
 
 
 def _reference_instance(seed, n_interferers=1):

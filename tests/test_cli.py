@@ -220,6 +220,26 @@ class TestMain:
         assert code == 2
         assert "empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, raw, extra",
+        [
+            ("sim", small_raw(), ["--seed", "-1"]),
+            ("psd", small_raw(), ["--seed", "-1"]),
+            ("bep", small_raw(sweep_ebn0_db=[0, "x"]), []),
+            ("sim", small_raw(sweep_ebn0_db=[0, float("nan")]), []),
+            ("bep", small_raw(theory_realizations=0), []),
+            ("psd", small_raw(pulses=[{"kind": "mhp", "order": 4, "width_ns": 0.5}] * 2), []),
+        ],
+        ids=["sim-negative-seed", "psd-negative-seed", "non-numeric-sweep", "nan-sweep",
+             "zero-theory-realizations", "pulse-wider-than-chip"],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, capsys, command, raw, extra):
+        path = write_config(tmp_path, raw)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o"), *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_header_embeds_config_and_seed(self, tmp_path):
         path = write_config(tmp_path, small_raw())
         main(["psd", "--config", str(path), "--seed", "123", "--out", str(tmp_path / "h")])
