@@ -9,7 +9,7 @@ cli (batch experiments).
 
 from .analysis import BepResult, MaiVariance, bep_averaged, bep_multi, bep_single, qfunc
 from .channel import ChannelParams, ChannelRealization, CompositeWaveform, composite_waveform, sample_channel
-from .montecarlo import BerEstimate, TrialPlan, rng_stream, run_ber
+from .montecarlo import BerEstimate, TrialPlan, rng_stream, run_ber, run_ber_sweep
 from .pulses import CorrelationFunction, Pulse, Spectrum, cross_correlation, make_mhp, normalize_energy, pulse_spectrum
 from .spectral import AvgAutocorrelation, SpectralDensity, analytic_autocorrelation, analytic_psd, empirical_psd, psd_mismatch
 from .transceiver import CodeSequences, RakeCombiner, SystemConfig, decision_statistic, generate_codes, select_combiner, transmit_block

@@ -329,19 +329,20 @@ def cmd_bep(cfg: ExperimentConfig, out_dir: Path, seed: int) -> Path:
 
 
 def cmd_sim(cfg: ExperimentConfig, out_dir: Path, seed: int, threads: int = 1) -> Path:
-    """Waveform-level simulated BER across the Eb/N0 sweep."""
+    """Waveform-level simulated BER across the Eb/N0 sweep, simulated as
+    one fused sweep; the per-point progress lines follow once it is done."""
     if not cfg.sweep_ebn0_db:
         raise ConfigError("sweep_ebn0_db is empty: nothing to simulate")
     pulses = cfg.make_pulses()
     plan = replace(cfg.plan, master_seed=seed)
+    estimates = montecarlo.run_ber_sweep(
+        cfg.system, pulses, cfg.channel, plan,
+        [ebn0_db_to_noise_sigma(db) for db in cfg.sweep_ebn0_db],
+        cfg.scheme, cfg.selection, cfg.combiner_paths, threads=threads,
+    )
     rows = []
     capped_points = []
-    for db in cfg.sweep_ebn0_db:
-        config = replace(cfg.system, noise_sigma=ebn0_db_to_noise_sigma(db))
-        est = montecarlo.run_ber(
-            config, pulses, cfg.channel, plan,
-            cfg.scheme, cfg.selection, cfg.combiner_paths, threads=threads,
-        )
+    for db, est in zip(cfg.sweep_ebn0_db, estimates):
         if est.capped:
             capped_points.append(float(db))
         print(

@@ -7,6 +7,13 @@ counter-based (Philox) stream keyed by (master_seed, realization_index,
 role).  Realizations are independent work units; running them on any
 number of workers gives bit-identical estimates because inclusion is
 decided by scanning completed realizations in index order.
+
+An Eb/N0 sweep is simulated once, not once per point.  Noise enters the
+correlator output linearly and its stream does not depend on the noise
+amplitude, so a realization reduces to per-bit clean decisions D and
+unit-noise projections N, and the decision at amplitude sigma is
+D + sigma * N.  Every sweep point therefore sees the same channels,
+traffic and noise draw, scaled by sigma (common random numbers).
 """
 
 from __future__ import annotations
@@ -147,29 +154,30 @@ def realization_channels(
     return desired, interferers
 
 
-def run_realization(
+def _sweep_errors(
     config: SystemConfig,
     pulses,
     channel_params: ChannelParams,
     n_bits: int,
     master_seed: int,
+    noise_sigmas: tuple[float, ...],
+    scheme: str,
+    selection: str,
+    n_paths: int | None,
     index: int,
-    scheme: str = "mrc",
-    selection: str = "all",
-    n_paths: int | None = None,
-) -> tuple[int, int]:
-    """Errors and bits for the single realization ``index`` of a plan seed.
+) -> tuple[int, ...]:
+    """Bit errors of realization ``index`` at each noise amplitude.
 
-    The channels are exactly those of realization_channels(config,
-    channel_params, master_seed, index); traffic and noise come from the
-    realization's own streams, so a conditional BER can be refined with a
-    larger n_bits on the same channel draw.
+    The realization is simulated once, into per-bit clean decisions
+    D = dt * sum(received * template) and unit-noise projections
+    N = sqrt(dt) * sum(z * template) of one standard-normal draw z from
+    the realization's noise stream (not drawn when every sigma is 0).
+    The decision at noise amplitude sigma is D + sigma * N.
     """
     dt = pulses[0].dt
     n_f = config.frames_per_symbol
     sym = config.symbol_samples(dt)
     rng_tr = rng_stream(master_seed, index, _ROLE_TRAFFIC)
-    rng_nz = rng_stream(master_seed, index, _ROLE_NOISE)
 
     desired_chan, interferer_chans = realization_channels(
         config, channel_params, master_seed, index
@@ -190,7 +198,10 @@ def run_realization(
     window_start = grid_index(template_block.t0, dt)
     n_win = n_bits * sym
     received = np.zeros(n_win)
+    # each block spans the whole window; drop it once it is added, so at
+    # most three window-sized arrays are alive at a time
     _add_clipped(received, desired_block.samples, grid_index(desired_block.t0, dt) - window_start)
+    del desired_block
 
     for chan in interferer_chans:
         bits_k = rng_tr.integers(0, 2, n_bits + 1) * 2 - 1
@@ -200,14 +211,44 @@ def run_realization(
         block = received_block(config, u_set, bits_k, codes_k)
         start = grid_index(block.t0, dt) + offset_idx - sym - window_start
         _add_clipped(received, block.samples, start)
-
-    if config.noise_sigma > 0:
-        received += (config.noise_sigma / math.sqrt(dt)) * rng_nz.standard_normal(n_win)
+        del block
 
     template = np.zeros(n_win)
     _add_clipped(template, template_block.samples, 0)
-    decisions = dt * (received * template).reshape(n_bits, sym).sum(axis=1)
-    errors = int(np.count_nonzero(decisions * bits <= 0))
+    del template_block
+    clean = dt * (received * template).reshape(n_bits, sym).sum(axis=1)
+    del received
+
+    unit_noise = np.zeros(n_bits)
+    if any(s > 0 for s in noise_sigmas):
+        z = rng_stream(master_seed, index, _ROLE_NOISE).standard_normal(n_win)
+        unit_noise = math.sqrt(dt) * (z * template).reshape(n_bits, sym).sum(axis=1)
+    return tuple(int(np.count_nonzero((clean + s * unit_noise) * bits <= 0)) for s in noise_sigmas)
+
+
+def run_realization(
+    config: SystemConfig,
+    pulses,
+    channel_params: ChannelParams,
+    n_bits: int,
+    master_seed: int,
+    index: int,
+    scheme: str = "mrc",
+    selection: str = "all",
+    n_paths: int | None = None,
+) -> tuple[int, int]:
+    """Errors and bits for the single realization ``index`` of a plan seed,
+    at noise amplitude config.noise_sigma.
+
+    The channels are exactly those of realization_channels(config,
+    channel_params, master_seed, index); traffic and noise come from the
+    realization's own streams, so a conditional BER can be refined with a
+    larger n_bits on the same channel draw.
+    """
+    (errors,) = _sweep_errors(
+        config, pulses, channel_params, n_bits, master_seed, (config.noise_sigma,),
+        scheme, selection, n_paths, index,
+    )
     return errors, n_bits
 
 
@@ -229,6 +270,68 @@ def _scan_stop(results, plan: TrialPlan) -> tuple[int, int, int]:
     return errors, bits, used
 
 
+def run_ber_sweep(
+    config: SystemConfig,
+    pulses,
+    channel_params: ChannelParams,
+    plan: TrialPlan,
+    noise_sigmas,
+    scheme: str = "mrc",
+    selection: str = "all",
+    n_paths: int | None = None,
+    threads: int = 1,
+) -> list[BerEstimate]:
+    """Waveform-level BER of the user of interest at each noise amplitude.
+
+    Per realization: draw desired and interferer channels, offsets, codes
+    and bits, assemble the received signal once, and detect each bit by
+    the sign of its template correlation plus sigma times the correlation
+    of one unit noise draw, for every sigma in ``noise_sigmas``
+    (config.noise_sigma is not used).  Every point sees the same channels,
+    traffic and noise draw, scaled by its sigma.
+
+    Realizations run in waves of max(1, threads), in process for one
+    thread and on a process pool otherwise.  Each point applies the stop
+    rule to its own errors, scanning realizations in index order; waves
+    continue until every point has stopped.  The estimate at a point is
+    the one run_ber gives for that noise_sigma, at any thread count.
+    """
+    sigmas = tuple(float(s) for s in noise_sigmas)
+    if not sigmas:
+        raise InvalidParameterError("noise_sigmas must name at least one noise amplitude")
+    if not all(s >= 0 and math.isfinite(s) for s in sigmas):
+        raise InvalidParameterError(f"noise amplitudes must be finite and nonnegative, got {sigmas}")
+    n_bits = plan.bits_per_realization
+    worker = partial(
+        _sweep_errors, config, pulses, channel_params, n_bits, plan.master_seed, sigmas,
+        scheme, selection, n_paths,
+    )
+
+    def point_scan(k: int, rows) -> tuple[int, int, int]:
+        return _scan_stop(((row[k], n_bits) for row in rows), plan)
+
+    wave = max(1, threads)
+    collected: list[tuple[int, ...]] = []
+    with ProcessPoolExecutor(max_workers=wave) if wave > 1 else nullcontext() as pool:
+        run_wave = pool.map if pool else map
+        for start in range(0, plan.n_realizations, wave):
+            collected.extend(run_wave(worker, range(start, min(start + wave, plan.n_realizations))))
+            if all(_stopped(*point_scan(k, collected), plan) for k in range(len(sigmas))):
+                break
+    estimates = []
+    for k in range(len(sigmas)):
+        errors, bits, used = point_scan(k, collected)
+        estimates.append(BerEstimate(
+            errors=errors,
+            bits=bits,
+            ber=errors / bits,
+            ci95=wilson_halfwidth(errors, bits),
+            realizations=used,
+            capped=errors < plan.min_errors,
+        ))
+    return estimates
+
+
 def run_ber(
     config: SystemConfig,
     pulses,
@@ -239,37 +342,14 @@ def run_ber(
     n_paths: int | None = None,
     threads: int = 1,
 ) -> BerEstimate:
-    """Waveform-level BER of the user of interest.
-
-    Per realization: draw desired and interferer channels, offsets, codes
-    and bits, assemble the received signal, detect each bit by the sign of
-    the template correlation.  Realizations run in waves of max(1, threads),
-    in process for one thread and on a process pool otherwise; the stop
-    rule is checked after each wave.  Deterministic for a fixed plan at any
-    thread count.
+    """Waveform-level BER of the user of interest at config.noise_sigma:
+    the one-point sweep run_ber_sweep(..., [config.noise_sigma], ...)[0].
+    Deterministic for a fixed plan at any thread count.
     """
-    worker = partial(
-        run_realization, config, pulses, channel_params,
-        plan.bits_per_realization, plan.master_seed,
-        scheme=scheme, selection=selection, n_paths=n_paths,
-    )
-    wave = max(1, threads)
-    collected: list[tuple[int, int]] = []
-    with ProcessPoolExecutor(max_workers=wave) if wave > 1 else nullcontext() as pool:
-        run_wave = pool.map if pool else map
-        for start in range(0, plan.n_realizations, wave):
-            collected.extend(run_wave(worker, range(start, min(start + wave, plan.n_realizations))))
-            if _stopped(*_scan_stop(collected, plan), plan):
-                break
-    errors, bits, used = _scan_stop(collected, plan)
-    return BerEstimate(
-        errors=errors,
-        bits=bits,
-        ber=errors / bits,
-        ci95=wilson_halfwidth(errors, bits),
-        realizations=used,
-        capped=errors < plan.min_errors,
-    )
+    return run_ber_sweep(
+        config, pulses, channel_params, plan, [config.noise_sigma],
+        scheme, selection, n_paths, threads,
+    )[0]
 
 
 def estimate_mai_variance(

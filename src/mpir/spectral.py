@@ -127,7 +127,7 @@ def band_containing(sd: SpectralDensity, fraction: float = 0.99) -> tuple[float,
     running = np.cumsum(sd.psd[order])
     cut = np.searchsorted(running, fraction * total)
     cut = min(cut, len(order) - 1)
-    f = abs(sd.freqs[order[cut]])
+    f = float(abs(sd.freqs[order[cut]]))
     return (-f, f)
 
 

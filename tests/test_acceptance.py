@@ -29,6 +29,7 @@ from mpir.montecarlo import (
     realization_channels,
     rng_stream,
     run_ber,
+    run_ber_sweep,
     run_realization,
 )
 from mpir.pulses import grid_index, make_mhp
@@ -94,10 +95,9 @@ def sweep_experiment(config_double, config_single, channel_params, pulses):
         ("single", config_single, pulses[:1]),
     ):
         terms_cache = {}
-        for sigma in sigmas:
+        sim[label] = run_ber_sweep(cfg, pset, channel_params, plan, sigmas)
+        for sigma, est in zip(sigmas, sim[label]):
             noisy = replace(cfg, noise_sigma=sigma)
-            est = run_ber(noisy, pset, channel_params, plan)
-            sim[label].append(est)
             # conditional theory on exactly the realizations the sim used
             pes = []
             for r in range(est.realizations):

@@ -74,3 +74,10 @@ def test_csv_matches_golden(out_dir, name):
                 assert float(gv) == pytest.approx(float(wv), rel=REL, abs=0), (
                     f"{name} row {row} {column}: {gv} vs {wv}"
                 )
+
+
+def test_psd_band_header_parses_as_two_floats(out_dir):
+    header = (out_dir / "psd.csv").read_text().splitlines()
+    (line,) = [h for h in header if h.startswith("# band_ghz: ")]
+    lo, hi = _floats(line[len("# band_ghz: ") :])
+    assert lo == -hi < 0

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mpir import montecarlo
 from mpir.analysis import qfunc
 from mpir.channel import ChannelParams
 from mpir.errors import InvalidParameterError
@@ -14,6 +15,7 @@ from mpir.montecarlo import (
     estimate_noise_variance,
     rng_stream,
     run_ber,
+    run_ber_sweep,
     wilson_bounds,
     wilson_halfwidth,
 )
@@ -142,6 +144,56 @@ class TestRunBer:
                          min_errors=10, min_realizations=7)
         est = run_ber(awgn_config(2.0), [mhp4], awgn_channel(), plan)
         assert est.realizations >= 7
+
+
+class TestRunBerSweep:
+    SIGMAS = (0.0, 0.2, 0.5, 1.0)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_matches_per_point_run_ber(self, mhp4, mhp5, reference_channel, reference_config,
+                                       threads):
+        # one fused sweep keeps simulating after its high-noise points have
+        # stopped; each point must still report exactly the estimate that a
+        # separate serial run at its noise amplitude reports
+        cfg = replace(reference_config, n_users=3)
+        pulses = [mhp4, mhp5]
+        plan = TrialPlan(master_seed=8, n_realizations=8, bits_per_realization=30,
+                         min_errors=6, min_realizations=2)
+        fused = run_ber_sweep(cfg, pulses, reference_channel, plan, self.SIGMAS, threads=threads)
+        per_point = [
+            run_ber(replace(cfg, noise_sigma=s), pulses, reference_channel, plan)
+            for s in self.SIGMAS
+        ]
+        assert fused == per_point
+        assert len({est.realizations for est in fused}) >= 3
+
+    def test_noise_free_point_is_error_free(self, mhp4):
+        plan = TrialPlan(master_seed=2, n_realizations=2, bits_per_realization=500)
+        quiet, noisy = run_ber_sweep(awgn_config(), [mhp4], awgn_channel(), plan, [0.0, 2.0])
+        assert quiet == run_ber(awgn_config(0.0), [mhp4], awgn_channel(), plan)
+        assert quiet.errors == 0
+        assert quiet.ber == 0.0
+        assert quiet.capped
+        assert noisy.errors > 0
+
+    def test_noise_free_sweep_draws_no_noise(self, mhp4, monkeypatch):
+        roles = []
+
+        def recording_stream(seed, *path):
+            roles.append(path[-1])
+            return rng_stream(seed, *path)
+
+        monkeypatch.setattr(montecarlo, "rng_stream", recording_stream)
+        plan = TrialPlan(master_seed=2, n_realizations=2, bits_per_realization=50)
+        run_ber_sweep(awgn_config(), [mhp4], awgn_channel(), plan, [0.0, 0.0])
+        assert roles
+        assert montecarlo._ROLE_NOISE not in roles
+
+    @pytest.mark.parametrize("sigmas", [[], [-0.1], [float("nan")], [0.5, float("inf")]])
+    def test_invalid_noise_sigmas_rejected(self, mhp4, sigmas):
+        plan = TrialPlan(master_seed=2, n_realizations=1, bits_per_realization=10)
+        with pytest.raises(InvalidParameterError):
+            run_ber_sweep(awgn_config(), [mhp4], awgn_channel(), plan, sigmas)
 
 
 class TestEstimateMaiVariance:

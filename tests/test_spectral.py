@@ -213,3 +213,9 @@ class TestPsdMismatch:
         lo50, hi50 = band_containing(sd, 0.50)
         assert hi50 <= hi99
         assert lo99 == -hi99
+
+    def test_band_containing_returns_python_floats(self, mhp4):
+        # psd.csv formats the band edges with repr; numpy scalars would
+        # print as np.float64(...)
+        lo, hi = band_containing(analytic_psd([mhp4], single_pulse_config(), 512), 0.99)
+        assert type(lo) is float and type(hi) is float
