@@ -8,6 +8,18 @@ role).  Realizations are independent work units; running them on any
 number of workers gives bit-identical estimates because inclusion is
 decided by scanning completed realizations in index order.
 
+Decisions come from correlation tables, not from sampled received
+signals.  Frames are separable and every offset lies on the sample grid,
+so the noise-free correlator output of each bit is an exact sum of
+lookups in the cross-correlations phi_{u_r v_s} of the users' channel
+composites with the RAKE template composites (the indexing of
+estimate_mai_variance).  The noise is still one standard-normal draw per
+sample of the bit windows, from the realization's noise stream, and each
+bit's unit-noise projection is that draw correlated with the bit's
+template frames.  The results equal those of the sample-level waveform
+path (transceiver.received_block, compose_received, rake_template and
+decision_statistic) up to the order of summation.
+
 An Eb/N0 sweep is simulated once, not once per point.  Noise enters the
 correlator output linearly and its stream does not depend on the noise
 amplitude, so a realization reduces to per-bit clean decisions D and
@@ -29,14 +41,7 @@ import numpy as np
 from .channel import ChannelParams, ChannelRealization, composite_waveform, sample_channel
 from .errors import InfeasibleGeometryError, InvalidParameterError
 from .pulses import cross_correlation, grid_index
-from .transceiver import (
-    SystemConfig,
-    _assemble,
-    generate_codes,
-    rake_template,
-    received_block,
-    select_combiner,
-)
+from .transceiver import SystemConfig, generate_codes, rake_template, select_combiner
 
 _ROLE_CHANNEL = 0
 _ROLE_TRAFFIC = 1
@@ -112,23 +117,26 @@ class BerEstimate:
 
 
 def _check_frame_separable(waves, config: SystemConfig, dt: float) -> None:
-    """A frame's content must not reach into the next frame (no IFI)."""
+    """A frame's content must not reach into the next frame (no IFI).
+
+    The content is measured from its earliest sample or from the frame
+    start, whichever is earlier, so it also stays inside its bit's window.
+    """
     t0_idx = [grid_index(w.t0, dt) for w in waves]
     chip = config.chip_samples(dt)
     frame = config.frame_samples(dt)
     extent = max(k + len(w.samples) for k, w in zip(t0_idx, waves)) + (config.hop_positions - 1) * chip
-    if extent - min(t0_idx) > frame:
+    if extent - min(0, *t0_idx) > frame:
         raise InfeasibleGeometryError(
             "frame content spans more than one frame; the no-inter-frame-"
             "interference bound does not hold for this configuration"
         )
 
 
-def _add_clipped(dest: np.ndarray, src: np.ndarray, start: int) -> None:
-    lo = max(0, start)
-    hi = min(len(dest), start + len(src))
-    if hi > lo:
-        dest[lo:hi] += src[lo - start : hi - start]
+def _phi_at(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Correlation values at integer lag indices; exactly 0 outside the support."""
+    inside = (idx >= 0) & (idx < len(values))
+    return np.where(inside, values.take(idx, mode="clip"), 0.0)
 
 
 def realization_channels(
@@ -154,28 +162,79 @@ def realization_channels(
     return desired, interferers
 
 
-def _sweep_errors(
+def _add_user(
+    acc: np.ndarray,
+    config: SystemConfig,
+    u_set,
+    templates,
+    amps: np.ndarray,
+    th: np.ndarray,
+    shift: int,
+    template_th: np.ndarray,
+) -> None:
+    """Add one user's correlation with every template frame to ``acc``.
+
+    Signal frame m carries amps[m] * u_{m mod N_p} and starts
+    m * T_f + shift + th[m] * T_c (in samples); template frame f carries
+    v_{f mod N_p} at f * T_f + template_th[f] * T_c.  So
+    acc[f] += sum_m amps[m] * phi_{u_r v_s}[(m - f) T_f + shift
+    + (th[m] - template_th[f]) T_c + q0_rs], the same indexing as
+    estimate_mai_variance; only the few frame distances m - f whose lags
+    can reach the tables' support are visited.
+    """
+    dt = templates[0].dt
+    n_p = config.pulse_types
+    chip = config.chip_samples(dt)
+    frame = config.frame_samples(dt)
+    phis = [[cross_correlation(u, v) for v in templates] for u in u_set]
+    q0s = [[grid_index(-phi.lag0, dt) for phi in row] for row in phis]
+    lag_lo = min(-q0 for row in q0s for q0 in row)
+    lag_hi = max(len(phi.values) - q0 for row, q_row in zip(phis, q0s) for phi, q0 in zip(row, q_row))
+    # frame distances e whose lags e*T_f + shift + (TH difference)*T_c
+    # can land in [lag_lo, lag_hi)
+    reach = (config.hop_positions - 1) * chip
+    e_lo = -((shift + reach - lag_lo) // frame)
+    e_hi = (lag_hi - 1 + reach - shift) // frame
+    n_t, n_m = len(acc), len(amps)
+    for e in range(e_lo, e_hi + 1):
+        f_lo, f_hi = max(0, -e), min(n_t, n_m - e)
+        for s in range(n_p):
+            first = f_lo + (s - f_lo) % n_p
+            if first >= f_hi:
+                continue
+            f = slice(first, f_hi, n_p)
+            m = slice(first + e, f_hi + e, n_p)
+            r = (s + e) % n_p
+            idx = e * frame + shift + (th[m] - template_th[f]) * chip + q0s[r][s]
+            acc[f] += amps[m] * _phi_at(phis[r][s].values, idx)
+
+
+def _realization_decisions(
     config: SystemConfig,
     pulses,
     channel_params: ChannelParams,
     n_bits: int,
     master_seed: int,
-    noise_sigmas: tuple[float, ...],
+    index: int,
     scheme: str,
     selection: str,
     n_paths: int | None,
-    index: int,
-) -> tuple[int, ...]:
-    """Bit errors of realization ``index`` at each noise amplitude.
+    draw_noise: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bits, D, N) of realization ``index``: the transmitted bits, the
+    per-bit clean correlator outputs and the unit-noise projections.
 
-    The realization is simulated once, into per-bit clean decisions
-    D = dt * sum(received * template) and unit-noise projections
-    N = sqrt(dt) * sum(z * template) of one standard-normal draw z from
-    the realization's noise stream (not drawn when every sigma is 0).
-    The decision at noise amplitude sigma is D + sigma * N.
+    D is the correlation of the noise-free received signal with each bit's
+    RAKE template, summed from cross-correlation lookups frame by frame
+    (_add_user); no waveform longer than one composite is built.  N is
+    the correlation, scaled by sqrt(dt), of each bit's template with one
+    standard-normal draw z of n_bits symbols of samples from the noise
+    stream; it is zero, and the stream is not opened, when ``draw_noise``
+    is false.
     """
     dt = pulses[0].dt
     n_f = config.frames_per_symbol
+    n_p = config.pulse_types
     sym = config.symbol_samples(dt)
     rng_tr = rng_stream(master_seed, index, _ROLE_TRAFFIC)
 
@@ -192,37 +251,64 @@ def _sweep_errors(
     bits = rng_tr.integers(0, 2, n_bits) * 2 - 1
     codes = generate_codes(config, n_bits * n_f, rng_tr)
 
-    template_block = _assemble(config, templates, codes.th, codes.polarity.astype(float))
-    desired_block = received_block(config, desired, bits, codes)
-
-    window_start = grid_index(template_block.t0, dt)
-    n_win = n_bits * sym
-    received = np.zeros(n_win)
-    # each block spans the whole window; drop it once it is added, so at
-    # most three window-sized arrays are alive at a time
-    _add_clipped(received, desired_block.samples, grid_index(desired_block.t0, dt) - window_start)
-    del desired_block
-
+    acc = np.zeros(n_bits * n_f)
+    _add_user(acc, config, desired, templates,
+              codes.polarity * np.repeat(bits, n_f) / math.sqrt(n_f), codes.th, 0, codes.th)
     for chan in interferer_chans:
+        # one extra bit ahead of the window, delayed by an offset in [0, T_s)
         bits_k = rng_tr.integers(0, 2, n_bits + 1) * 2 - 1
         codes_k = generate_codes(config, (n_bits + 1) * n_f, rng_tr)
         offset_idx = int(rng_tr.integers(0, sym))
         u_set = [composite_waveform(p, chan, chan.gains) for p in pulses]
-        block = received_block(config, u_set, bits_k, codes_k)
-        start = grid_index(block.t0, dt) + offset_idx - sym - window_start
-        _add_clipped(received, block.samples, start)
-        del block
-
-    template = np.zeros(n_win)
-    _add_clipped(template, template_block.samples, 0)
-    del template_block
-    clean = dt * (received * template).reshape(n_bits, sym).sum(axis=1)
-    del received
+        _add_user(acc, config, u_set, templates,
+                  codes_k.polarity * np.repeat(bits_k, n_f) / math.sqrt(n_f),
+                  codes_k.th, offset_idx - sym, codes.th)
+    clean = (acc * codes.polarity).reshape(n_bits, n_f).sum(axis=1)
 
     unit_noise = np.zeros(n_bits)
-    if any(s > 0 for s in noise_sigmas):
-        z = rng_stream(master_seed, index, _ROLE_NOISE).standard_normal(n_win)
-        unit_noise = math.sqrt(dt) * (z * template).reshape(n_bits, sym).sum(axis=1)
+    if draw_noise:
+        z = rng_stream(master_seed, index, _ROLE_NOISE).standard_normal(n_bits * sym)
+        # z[0] is the sample at frame 0's start, or at the earliest
+        # template sample if that comes first
+        t0_idx = [grid_index(v.t0, dt) for v in templates]
+        starts = (np.arange(n_bits * n_f) * config.frame_samples(dt)
+                  + codes.th * config.chip_samples(dt)
+                  + np.tile(t0_idx, n_bits * n_f // n_p) - min(0, *t0_idx))
+        taps = [v.samples for v in templates]
+        proj = np.array([
+            z[k : k + len(taps[f % n_p])] @ taps[f % n_p] for f, k in enumerate(starts.tolist())
+        ])
+        unit_noise = math.sqrt(dt) * (proj * codes.polarity).reshape(n_bits, n_f).sum(axis=1)
+    return bits, clean, unit_noise
+
+
+def _sweep_errors(
+    config: SystemConfig,
+    pulses,
+    channel_params: ChannelParams,
+    n_bits: int,
+    master_seed: int,
+    noise_sigmas: tuple[float, ...],
+    scheme: str,
+    selection: str,
+    n_paths: int | None,
+    index: int,
+) -> tuple[int, ...]:
+    """Bit errors of realization ``index`` at each noise amplitude.
+
+    The realization is reduced once to per-bit clean decisions D, summed
+    from the cross-correlation tables of the channel composites, and
+    unit-noise projections N of the realization's noise-stream draw (not
+    drawn when every sigma is 0).  Bit i is in error at noise amplitude
+    sigma when (D_i + sigma * N_i) * b_i <= 0.  D and N equal the
+    sample-by-sample correlations of the assembled waveforms up to the
+    order of summation, so the error counts are those of the waveform
+    engine.
+    """
+    bits, clean, unit_noise = _realization_decisions(
+        config, pulses, channel_params, n_bits, master_seed, index, scheme, selection, n_paths,
+        draw_noise=any(s > 0 for s in noise_sigmas),
+    )
     return tuple(int(np.count_nonzero((clean + s * unit_noise) * bits <= 0)) for s in noise_sigmas)
 
 
@@ -284,11 +370,13 @@ def run_ber_sweep(
     """Waveform-level BER of the user of interest at each noise amplitude.
 
     Per realization: draw desired and interferer channels, offsets, codes
-    and bits, assemble the received signal once, and detect each bit by
-    the sign of its template correlation plus sigma times the correlation
-    of one unit noise draw, for every sigma in ``noise_sigmas``
+    and bits; sum each bit's noise-free correlator output D from the
+    composites' cross-correlation tables and its unit-noise projection N
+    from one standard-normal draw of the noise stream; detect the bit by
+    the sign of D + sigma * N for every sigma in ``noise_sigmas``
     (config.noise_sigma is not used).  Every point sees the same channels,
-    traffic and noise draw, scaled by its sigma.
+    traffic and noise draw, scaled by its sigma, and the error counts are
+    those of the sample-level waveform path on the same draws.
 
     Realizations run in waves of max(1, threads), in process for one
     thread and on a process pool otherwise.  Each point applies the stop
@@ -401,13 +489,10 @@ def estimate_mai_variance(
     acc = np.zeros(n_samples)
     for m in range(m_lo, m_hi + 1):
         r = m % n_p
-        values = phis[r].values
         c_m = rng.integers(0, n_h, n_samples)
         d_m = rng.integers(0, 2, n_samples) * 2 - 1
         idx = (m - frame) * frame_len + (c_m - c_j) * chip + tau + q0s[r]
-        valid = (idx >= 0) & (idx < len(values))
-        contrib = np.where(valid, values[np.clip(idx, 0, len(values) - 1)], 0.0)
-        acc += d_m * sym_bits[math.floor(m / n_f)] * contrib
+        acc += d_m * sym_bits[math.floor(m / n_f)] * _phi_at(phis[r].values, idx)
     acc *= rng.integers(0, 2, n_samples) * 2 - 1  # template polarity d_j of user 1
     return float(np.var(acc, ddof=1))
 

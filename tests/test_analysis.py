@@ -161,6 +161,26 @@ class TestMaiVariance:
         assert results[1] == pytest.approx(results[0], rel=2e-3)
 
 
+    @given(seed=st.integers(0, 10_000), n_interferers=st.integers(1, 3),
+           flip=st.integers(0, 2))
+    @settings(max_examples=8, deadline=None)
+    def test_invariant_under_interferer_polarity_flip(self, seed, n_interferers, flip):
+        cfg, pulses, desired, interferers = _reference_instance(seed, n_interferers)
+        comb = select_combiner(desired, "mrc", "all")
+        v = [composite_waveform(p, desired, comb.beta) for p in pulses]
+        k = flip % n_interferers
+        flipped = list(interferers)
+        flipped[k] = ChannelRealization(-interferers[k].gains, interferers[k].delays)
+
+        def sets(chans):
+            return [[composite_waveform(p, ch, ch.gains) for p in pulses] for ch in chans]
+
+        base = mai_variance_multi(sets(interferers), v, cfg)
+        out = mai_variance_multi(sets(flipped), v, cfg)
+        np.testing.assert_allclose(out.per_frame, base.per_frame, rtol=1e-12, atol=0)
+        assert out.total == pytest.approx(base.total, rel=1e-12)
+
+
 class TestNoiseVariance:
     def test_zero_noise(self):
         cfg, pulses, desired, _ = _reference_instance(35)

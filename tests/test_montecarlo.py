@@ -3,24 +3,34 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpir import montecarlo
 from mpir.analysis import qfunc
-from mpir.channel import ChannelParams
-from mpir.errors import InvalidParameterError
+from mpir.channel import ChannelParams, composite_waveform
+from mpir.errors import InfeasibleGeometryError, InvalidParameterError
 from mpir.montecarlo import (
     BerEstimate,
     TrialPlan,
     estimate_mai_variance,
     estimate_noise_variance,
+    realization_channels,
     rng_stream,
     run_ber,
     run_ber_sweep,
     wilson_bounds,
     wilson_halfwidth,
 )
-from mpir.pulses import make_mhp
-from mpir.transceiver import SystemConfig
+from mpir.pulses import grid_index, make_mhp
+from mpir.transceiver import (
+    SystemConfig,
+    _assemble,
+    compose_received,
+    generate_codes,
+    received_block,
+    select_combiner,
+)
 
 DT = 0.02
 
@@ -194,6 +204,175 @@ class TestRunBerSweep:
         plan = TrialPlan(master_seed=2, n_realizations=1, bits_per_realization=10)
         with pytest.raises(InvalidParameterError):
             run_ber_sweep(awgn_config(), [mhp4], awgn_channel(), plan, sigmas)
+
+
+def _on_window(wave, start, n):
+    """Samples of ``wave`` on the absolute sample range [start, start + n), zero-padded."""
+    out = np.zeros(n)
+    k = grid_index(wave.t0, wave.dt) - start
+    lo, hi = max(0, k), min(n, k + len(wave.samples))
+    out[lo:hi] = wave.samples[lo - k : hi - k]
+    return out
+
+
+def reference_decisions(config, pulses, channel_params, n_bits, seed, index,
+                        scheme, selection, n_paths):
+    """(bits, D, N) of one realization from the sample-level waveform path.
+
+    Every block is assembled sample by sample (received_block, _assemble),
+    the users are added on the receiver's clock (compose_received) and
+    each bit's decision is the dot product with the template over its
+    symbol window, starting at the template block's first sample.  The
+    draws follow the table engine's order.
+    """
+    dt = pulses[0].dt
+    n_f = config.frames_per_symbol
+    sym = config.symbol_samples(dt)
+    rng_tr = rng_stream(seed, index, montecarlo._ROLE_TRAFFIC)
+    desired_chan, interferer_chans = realization_channels(config, channel_params, seed, index)
+    comb = select_combiner(desired_chan, scheme, selection, n_paths)
+    desired = [composite_waveform(p, desired_chan, desired_chan.gains) for p in pulses]
+    templates = [composite_waveform(p, desired_chan, comb.beta) for p in pulses]
+
+    bits = rng_tr.integers(0, 2, n_bits) * 2 - 1
+    codes = generate_codes(config, n_bits * n_f, rng_tr)
+    blocks = [received_block(config, desired, bits, codes)]
+    offsets = [0.0]
+    for chan in interferer_chans:
+        bits_k = rng_tr.integers(0, 2, n_bits + 1) * 2 - 1
+        codes_k = generate_codes(config, (n_bits + 1) * n_f, rng_tr)
+        offset_idx = int(rng_tr.integers(0, sym))
+        u_set = [composite_waveform(p, chan, chan.gains) for p in pulses]
+        block = received_block(config, u_set, bits_k, codes_k)
+        blocks.append(replace(block, t0=block.t0 - sym * dt))  # starts one bit early
+        offsets.append(offset_idx * dt)
+    received = compose_received(replace(config, noise_sigma=0.0), blocks, offsets)
+
+    template_block = _assemble(config, templates, codes.th, codes.polarity.astype(float))
+    start = grid_index(template_block.t0, dt)
+    n_win = n_bits * sym
+    template = _on_window(template_block, start, n_win)
+    clean = dt * (_on_window(received, start, n_win) * template).reshape(n_bits, sym).sum(axis=1)
+    z = rng_stream(seed, index, montecarlo._ROLE_NOISE).standard_normal(n_win)
+    unit_noise = math.sqrt(dt) * (z * template).reshape(n_bits, sym).sum(axis=1)
+    return bits, clean, unit_noise
+
+
+def _first_path_dropped(config, channel_params, seed, scheme, n_paths):
+    """The first realization index whose selective template drops path 0
+    and so starts after the frame start."""
+    for index in range(200):
+        desired, _ = realization_channels(config, channel_params, seed, index)
+        comb = select_combiner(desired, scheme, "selective", n_paths)
+        if comb.beta[0] == 0.0 and desired.delays[comb.beta != 0.0][0] > 1.0:
+            return index
+    raise AssertionError("no realization drops the first path")
+
+
+class TestTableEngine:
+    """The correlation-table engine against the sample-level waveform path."""
+
+    SIGMAS = (0.0, 0.05, 0.2, 0.5, 1.0)
+    CHANNEL = ChannelParams(n_paths=12, decay_rate=0.4, lognorm_var=1.0, mean_arrival=1.5)
+
+    # (pulse types, frames per symbol, hop positions, users, scheme, selection)
+    CASES = [
+        (1, 2, 3, 3, "mrc", "all"),
+        (1, 1, 1, 1, "egc", "partial"),
+        (2, 2, 3, 3, "egc", "partial"),
+        (2, 4, 1, 3, "mrc", "selective"),
+        (2, 2, 3, 1, "mrc", "all"),
+        (3, 3, 1, 3, "egc", "all"),
+        (3, 3, 3, 3, "mrc", "selective"),
+        (3, 6, 3, 1, "egc", "selective"),
+    ]
+
+    @pytest.mark.parametrize("n_p,n_f,n_h,users,scheme,selection", CASES)
+    def test_decisions_match_waveform_path(self, n_p, n_f, n_h, users, scheme, selection):
+        config = SystemConfig(
+            n_users=users, frames_per_symbol=n_f, chips_per_frame=40, hop_positions=n_h,
+            pulse_types=n_p, chip_time=1.0, interferer_power=5.0,
+        )
+        pulses = [make_mhp(order, 0.05, DT) for order in (4, 5, 3)[:n_p]]
+        n_paths = None if selection == "all" else 3
+        seed, n_bits = 11, 12
+        indices = [0, 1]
+        if selection == "selective":
+            indices.append(_first_path_dropped(config, self.CHANNEL, seed, scheme, n_paths))
+        for index in indices:
+            args = (config, pulses, self.CHANNEL, n_bits, seed, index, scheme, selection, n_paths)
+            bits, clean, unit_noise = montecarlo._realization_decisions(*args)
+            ref_bits, ref_clean, ref_noise = reference_decisions(*args)
+            assert np.array_equal(bits, ref_bits)
+            np.testing.assert_allclose(clean, ref_clean, rtol=0,
+                                       atol=1e-9 * np.max(np.abs(ref_clean)))
+            np.testing.assert_allclose(unit_noise, ref_noise, rtol=0,
+                                       atol=1e-9 * np.max(np.abs(ref_noise)))
+            ref_errors = tuple(
+                int(np.count_nonzero((ref_clean + s * ref_noise) * ref_bits <= 0))
+                for s in self.SIGMAS
+            )
+            errors = montecarlo._sweep_errors(
+                config, pulses, self.CHANNEL, n_bits, seed, self.SIGMAS,
+                scheme, selection, n_paths, index,
+            )
+            assert errors == ref_errors
+
+    def test_template_leaving_its_bit_window_rejected(self, reference_config):
+        # a template that starts after its frame start (first path not
+        # combined) must still end inside the frame: bit i's decision sums
+        # only template frames of bit i
+        from mpir.channel import CompositeWaveform
+
+        frame = reference_config.frame_samples(DT)
+        reach = (reference_config.hop_positions - 1) * reference_config.chip_samples(DT)
+        length = frame - reach - 100
+        fits = CompositeWaveform(np.ones(length), DT, 100 * DT)
+        montecarlo._check_frame_separable([fits], reference_config, DT)
+        late = CompositeWaveform(np.ones(length), DT, 101 * DT)
+        with pytest.raises(InfeasibleGeometryError):
+            montecarlo._check_frame_separable([late], reference_config, DT)
+
+    def test_noise_projection_not_drawn_without_noise(self, mhp4, reference_config,
+                                                      reference_channel):
+        cfg = replace(reference_config, pulse_types=1, n_users=2)
+        args = (cfg, [mhp4], reference_channel, 8, 3, 0, "mrc", "all", None)
+        bits, clean, unit_noise = montecarlo._realization_decisions(*args, draw_noise=False)
+        _, clean_drawn, _ = montecarlo._realization_decisions(*args)
+        assert not unit_noise.any()
+        assert np.array_equal(clean, clean_drawn)
+
+
+class TestPhiAt:
+    def test_zero_outside_support(self):
+        values = np.array([1.0, -2.0, 3.0])
+        out = montecarlo._phi_at(values, np.array([-5, -1, 0, 1, 2, 3, 40]))
+        assert out.tolist() == [0.0, 0.0, 1.0, -2.0, 3.0, 0.0, 0.0]
+
+
+class TestSweepProperties:
+    @given(
+        n_realizations=st.integers(1, 5),
+        min_errors=st.integers(1, 40),
+        min_realizations=st.integers(1, 5),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=4, deadline=None)
+    def test_thread_count_never_changes_estimates(self, n_realizations, min_errors,
+                                                  min_realizations, seed):
+        cfg = SystemConfig(
+            n_users=3, frames_per_symbol=2, chips_per_frame=40, hop_positions=3,
+            pulse_types=2, chip_time=1.0, interferer_power=5.0,
+        )
+        pulses = [make_mhp(4, 0.05, DT), make_mhp(5, 0.05, DT)]
+        channel = ChannelParams(n_paths=12, decay_rate=0.4, lognorm_var=1.0, mean_arrival=1.5)
+        plan = TrialPlan(master_seed=seed, n_realizations=n_realizations,
+                         bits_per_realization=20, min_errors=min_errors,
+                         min_realizations=min_realizations)
+        sigmas = [0.0, 0.3, 1.0]
+        serial = run_ber_sweep(cfg, pulses, channel, plan, sigmas, threads=1)
+        parallel = run_ber_sweep(cfg, pulses, channel, plan, sigmas, threads=2)
+        assert serial == parallel
 
 
 class TestEstimateMaiVariance:

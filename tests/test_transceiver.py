@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpir.channel import ChannelRealization, composite_waveform
 from mpir.errors import (
@@ -295,6 +297,27 @@ class TestRakeTemplateAndDecision:
             want = b * phi_sum / math.sqrt(n_f)
             assert y == pytest.approx(want, rel=1e-9)
             assert math.copysign(1, y) == b
+
+    @given(
+        seed=st.integers(0, 2**32),
+        shift=st.integers(-60, 60),
+        alpha=st.floats(-10, 10),
+        beta=st.floats(-10, 10),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_linear_in_received_signal(self, seed, shift, alpha, beta):
+        # Y(alpha*r1 + beta*r2) = alpha*Y(r1) + beta*Y(r2) for one template,
+        # whatever the template's alignment with the received window
+        from mpir.channel import CompositeWaveform
+
+        rng = np.random.default_rng(seed)
+        r1, r2 = rng.standard_normal((2, 100))
+        tmpl = CompositeWaveform(rng.standard_normal(30), DT, shift * DT)
+        combined = decision_statistic(CompositeWaveform(alpha * r1 + beta * r2, DT, 0.0), tmpl)
+        parts = (alpha * decision_statistic(CompositeWaveform(r1, DT, 0.0), tmpl)
+                 + beta * decision_statistic(CompositeWaveform(r2, DT, 0.0), tmpl))
+        scale = (abs(alpha) + abs(beta)) * DT * np.linalg.norm(tmpl.samples) * 20
+        assert combined == pytest.approx(parts, rel=1e-9, abs=1e-12 * scale)
 
     def test_grid_mismatch_rejected(self, mhp4):
         a = mhp4
