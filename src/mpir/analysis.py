@@ -9,10 +9,15 @@ cross-checks in the test suite):
   sigma2[k][j] BEFORE the 1/N_h^2 factor; the BEP denominator applies
   1/(N_f * N_h^2) exactly once.  ``mai_variance_classical`` follows the
   same convention for the single-pulse reduction.
-* All lag integrals are left-rectangle sums at the waveform sample step.
-  The integrands vanish at the window edges (single-frame containment),
-  so this coincides with the trapezoid rule, and it makes the
-  single-pulse reduction exact at floating-point level.
+* Under single-frame containment (enforced by sample_channel,
+  check_pulse_fits and transceiver._check_frame_separable) every TH and
+  delay window of an MAI lag integral covers the whole support of the
+  squared cross-correlation, so each variance is a full-support sum of
+  phi^2 at the waveform sample step.  That sum is taken in the frequency
+  domain by discrete Parseval, one rfft per composite, and both MAI forms
+  share it, which makes the single-pulse reduction exact at
+  floating-point level.  A geometry outside containment raises
+  InfeasibleGeometryError.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ import numpy as np
 
 from .channel import ChannelParams, composite_waveform, sample_channel
 from .errors import ConfigMismatchError, DegenerateInputError, InvalidParameterError
-from .pulses import CorrelationFunction, cross_correlation, grid_index
-from .transceiver import SystemConfig, decision_statistic, select_combiner
+from .pulses import _common_dt
+from .transceiver import SystemConfig, _check_frame_separable, decision_statistic, select_combiner
 
 _SQRT_2 = math.sqrt(2.0)
 _erfc = np.vectorize(math.erfc, otypes=[float])
@@ -63,40 +68,31 @@ class MaiVariance:
         object.__setattr__(self, "per_frame", per_frame)
 
 
-def _phi_sq_cumsum(phi: CorrelationFunction):
-    """Prefix sums of phi^2 plus the grid index of lag zero."""
-    cs = np.concatenate(([0.0], np.cumsum(phi.values**2)))
-    q0 = grid_index(-phi.lag0, phi.lag_step)
-    return cs, q0, len(phi.values)
+def _mai_mass(interferer_sets, templates, config: SystemConfig) -> np.ndarray:
+    """sigma2_M(k, j) for every interferer composite set k and template j.
 
-
-def _range_sum(cs, lo, hi, n):
-    lo = max(lo, 0)
-    hi = min(hi, n)
-    if hi <= lo:
-        return 0.0
-    return cs[hi] - cs[lo]
-
-
-def _sigma2_frame(phis, j: int, config: SystemConfig, dt: float) -> float:
-    """sigma2_M(k, j): TH- and delay-averaged squared correlation mass.
-
-    (1/(T_f N_p)) sum_{m=j-N_p..j} sum_{|l|<N_h} (N_h - |l|)
-        int_0^{N_p T_f} phi_{u_m v_j}^2((m-j) T_f + l T_c + tau) dtau
+    Frame containment puts the whole support of phi_{u_r v_j} inside every
+    TH and delay window of the lag integral, so
+    sigma2_M(k, j) = N_h^2 / (N_p T_f) * sum_r dt * sum_x phi_{u_r v_j}^2[x],
+    with N_p = len(templates).  By discrete Parseval on nfft >= len(u) +
+    len(v) - 1 points, sum_x phi^2[x] = dt^2 / nfft * sum_f w_f |U_r(f)|^2
+    |V_j(f)|^2 over the rfft bins, w_f = 1 at DC and Nyquist, 2 elsewhere.
     """
-    n_p = config.pulse_types
-    n_h = config.hop_positions
-    chip = config.chip_samples(dt)
-    frame = config.frame_samples(dt)
-    n_tau = n_p * frame
-    pre = [_phi_sq_cumsum(phi) for phi in phis]
-    total = 0.0
-    for m in range(j - n_p, j + 1):
-        cs, q0, n = pre[m % n_p]
-        for l in range(1 - n_h, n_h):
-            start = (m - j) * frame + l * chip + q0
-            total += (n_h - abs(l)) * _range_sum(cs, start, start + n_tau, n)
-    return total * dt / (config.frame_time * n_p)
+    interferers = [u for u_set in interferer_sets for u in u_set]
+    dt = _common_dt([*templates, *interferers])
+    _check_frame_separable([*templates, *interferers], config, dt)
+    n_v = max(len(v.samples) for v in templates)
+    n_u = max((len(u.samples) for u in interferers), default=1)
+    nfft = 1 << (n_v + n_u - 2).bit_length()  # smallest power of two >= n_v + n_u - 1
+    w = np.full(nfft // 2 + 1, 2.0)
+    w[[0, -1]] = 1.0
+    v_power = np.array([w * np.abs(np.fft.rfft(v.samples, nfft)) ** 2 for v in templates])
+    scale = config.hop_positions**2 * dt**3 / (len(templates) * config.frame_time * nfft)
+    per_frame = np.zeros((len(interferer_sets), len(templates)))
+    for k, u_set in enumerate(interferer_sets):
+        u_power = sum(np.abs(np.fft.rfft(u.samples, nfft)) ** 2 for u in u_set)
+        per_frame[k] = v_power @ u_power * scale
+    return per_frame
 
 
 def mai_variance_multi(interferer_sets, templates, config: SystemConfig) -> MaiVariance:
@@ -108,14 +104,10 @@ def mai_variance_multi(interferer_sets, templates, config: SystemConfig) -> MaiV
     n_p = config.pulse_types
     if len(templates) != n_p:
         raise ConfigMismatchError(f"need {n_p} templates, got {len(templates)}")
-    dt = templates[0].dt
-    per_frame = np.zeros((len(interferer_sets), n_p))
     for k, u_set in enumerate(interferer_sets):
         if len(u_set) != n_p:
             raise ConfigMismatchError(f"interferer {k} must supply {n_p} composites")
-        for j in range(n_p):
-            phis = [cross_correlation(u_set[r], templates[j]) for r in range(n_p)]
-            per_frame[k, j] = _sigma2_frame(phis, j, config, dt)
+    per_frame = _mai_mass(interferer_sets, templates, config)
     scale = config.frames_per_symbol * config.hop_positions**2
     total = float(per_frame.sum() / scale)
     out_var = float(per_frame.sum() / (n_p * config.hop_positions**2))
@@ -125,21 +117,13 @@ def mai_variance_multi(interferer_sets, templates, config: SystemConfig) -> MaiV
 def mai_variance_classical(u, v, config: SystemConfig) -> float:
     """Single-pulse MAI variance sigma2_M(k) for one interferer.
 
-    (1/T_f) sum_{|l|<N_h} (N_h - |l|) int_{-T_f}^{T_f} phi_uv^2(l T_c + tau) dtau.
-    The 1/N_h^2 factor is NOT included here; bep_single applies
-    1/(N_f N_h^2) to the sum over interferers, consistently with
-    mai_variance_multi.
+    (1/T_f) sum_{|l|<N_h} (N_h - |l|) int_{-T_f}^{T_f} phi_uv^2(l T_c + tau) dtau,
+    which frame containment reduces to (N_h^2 / T_f) int phi_uv^2(x) dx,
+    evaluated by the same spectral sum as mai_variance_multi.  The 1/N_h^2
+    factor is NOT included here; bep_single applies 1/(N_f N_h^2) to the
+    sum over interferers, consistently with mai_variance_multi.
     """
-    dt = v.dt
-    n_h = config.hop_positions
-    chip = config.chip_samples(dt)
-    frame = config.frame_samples(dt)
-    cs, q0, n = _phi_sq_cumsum(cross_correlation(u, v))
-    total = 0.0
-    for l in range(1 - n_h, n_h):
-        start = l * chip - frame + q0
-        total += (n_h - abs(l)) * _range_sum(cs, start, start + 2 * frame, n)
-    return total * dt / config.frame_time
+    return float(_mai_mass([[u]], [v], config)[0, 0])
 
 
 def noise_variance(templates, config: SystemConfig) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleGeometryError, InvalidParameterError
-from .pulses import Pulse, grid_index
+from .pulses import Pulse
 
 _MAX_RESAMPLES = 1000
 
@@ -118,7 +118,10 @@ def sample_channel(params: ChannelParams, config, rng: np.random.Generator) -> C
     """
     n = params.n_paths
     sigma = math.sqrt(params.lognorm_var)
-    mu = np.array([mean_log_gain(params, l) for l in range(n)])
+    # mean_log_gain for every path index, evaluated with the same float operations
+    mu = 0.5 * (
+        math.log(params.first_tap_power) - params.decay_rate * np.arange(n) - 2.0 * params.lognorm_var
+    )
     bound = config.frame_time - config.hop_positions * config.chip_time
     scale = math.sqrt(params.power_scale)
 
@@ -168,9 +171,10 @@ def composite_waveform(pulse: Pulse, chan: ChannelRealization, weights) -> Compo
     if weights.shape != chan.gains.shape:
         raise InvalidParameterError("weights must have one entry per channel path")
     dt = pulse.dt
-    offsets = np.array([grid_index(d, dt) for d in chan.delays])
+    # grid_index of each delay; delays are nonnegative, so this is its branch
+    offsets = np.floor(chan.delays / dt + 0.5).astype(np.int64).tolist()
     out = np.zeros(offsets[-1] + len(pulse.samples))
-    for w, k in zip(weights, offsets):
+    for w, k in zip(weights.tolist(), offsets):
         if w != 0.0:
             out[k : k + len(pulse.samples)] += w * pulse.samples
     nz = np.flatnonzero(out)

@@ -39,9 +39,15 @@ from functools import partial
 import numpy as np
 
 from .channel import ChannelParams, ChannelRealization, composite_waveform, sample_channel
-from .errors import InfeasibleGeometryError, InvalidParameterError
+from .errors import InvalidParameterError
 from .pulses import cross_correlation, grid_index
-from .transceiver import SystemConfig, generate_codes, rake_template, select_combiner
+from .transceiver import (
+    SystemConfig,
+    _check_frame_separable,
+    generate_codes,
+    rake_template,
+    select_combiner,
+)
 
 _ROLE_CHANNEL = 0
 _ROLE_TRAFFIC = 1
@@ -114,23 +120,6 @@ class BerEstimate:
 
     def ci_bounds(self) -> tuple[float, float]:
         return wilson_bounds(self.errors, self.bits)
-
-
-def _check_frame_separable(waves, config: SystemConfig, dt: float) -> None:
-    """A frame's content must not reach into the next frame (no IFI).
-
-    The content is measured from its earliest sample or from the frame
-    start, whichever is earlier, so it also stays inside its bit's window.
-    """
-    t0_idx = [grid_index(w.t0, dt) for w in waves]
-    chip = config.chip_samples(dt)
-    frame = config.frame_samples(dt)
-    extent = max(k + len(w.samples) for k, w in zip(t0_idx, waves)) + (config.hop_positions - 1) * chip
-    if extent - min(0, *t0_idx) > frame:
-        raise InfeasibleGeometryError(
-            "frame content spans more than one frame; the no-inter-frame-"
-            "interference bound does not hold for this configuration"
-        )
 
 
 def _phi_at(values: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, CompositeWaveform
-from .errors import ConfigMismatchError, InvalidParameterError
+from .errors import ConfigMismatchError, InfeasibleGeometryError, InvalidParameterError
 from .pulses import _common_dt, grid_count, grid_index
 
 
@@ -95,6 +95,25 @@ def check_pulse_fits(pulses, config: SystemConfig) -> None:
                 f"pulse {getattr(p, 'label', '?')} spans {p.duration:.4f} ns, "
                 f"more than one chip ({config.chip_time} ns)"
             )
+
+
+def _check_frame_separable(waves, config: SystemConfig, dt: float) -> None:
+    """A frame's content must not reach into the next frame (no IFI).
+
+    The content is measured from its earliest sample or from the frame
+    start, whichever is earlier, so it also stays inside its bit's window.
+    The table-driven BER engine and the closed-form MAI variances both
+    rest on this bound.
+    """
+    t0_idx = [grid_index(w.t0, dt) for w in waves]
+    chip = config.chip_samples(dt)
+    frame = config.frame_samples(dt)
+    extent = max(k + len(w.samples) for k, w in zip(t0_idx, waves)) + (config.hop_positions - 1) * chip
+    if extent - min(0, *t0_idx) > frame:
+        raise InfeasibleGeometryError(
+            "frame content spans more than one frame; the no-inter-frame-"
+            "interference bound does not hold for this configuration"
+        )
 
 
 @dataclass(frozen=True, eq=False)

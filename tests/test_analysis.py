@@ -18,9 +18,9 @@ from mpir.analysis import (
     qfunc,
 )
 from mpir.channel import ChannelParams, ChannelRealization, composite_waveform, sample_channel
-from mpir.errors import DegenerateInputError
+from mpir.errors import DegenerateInputError, InfeasibleGeometryError
 from mpir.montecarlo import rng_stream
-from mpir.pulses import make_mhp
+from mpir.pulses import cross_correlation, grid_index, make_mhp
 from mpir.transceiver import SystemConfig, select_combiner
 
 DT = 0.02
@@ -79,7 +79,82 @@ def _reference_instance(seed, n_interferers=1):
     return cfg, pulses, desired, interferers
 
 
+def _windowed_sigma2(u_set, template, j, config):
+    """Reference sigma2_M(k, j) as the TH- and delay-window sum of phi^2:
+
+    (1/(T_f N_p)) sum_{m=j-N_p..j} sum_{|l|<N_h} (N_h - |l|)
+        int_0^{N_p T_f} phi_{u_m v_j}^2((m-j) T_f + l T_c + tau) dtau,
+
+    each window a difference of prefix sums of phi^2 on the lag grid.
+    """
+    dt = template.dt
+    n_p, n_h = config.pulse_types, config.hop_positions
+    chip, frame = config.chip_samples(dt), config.frame_samples(dt)
+    tables = []
+    for u in u_set:
+        phi = cross_correlation(u, template)
+        tables.append((np.concatenate(([0.0], np.cumsum(phi.values**2))), grid_index(-phi.lag0, dt)))
+    total = 0.0
+    for m in range(j - n_p, j + 1):
+        cs, q0 = tables[m % n_p]
+        for l in range(1 - n_h, n_h):
+            start = (m - j) * frame + l * chip + q0
+            lo, hi = max(start, 0), min(start + n_p * frame, len(cs) - 1)
+            if hi > lo:
+                total += (n_h - abs(l)) * (cs[hi] - cs[lo])
+    return total * dt / (config.frame_time * n_p)
+
+
+def _limit_instance(seed, n_p, n_h, past=0):
+    """Composites of random channels, the last interferer's last path placed
+    ``past`` samples beyond the frame-containment limit (0: at the limit)."""
+    rng = np.random.default_rng(seed)
+    cfg = SystemConfig(
+        n_users=3, frames_per_symbol=2 * n_p, chips_per_frame=8,
+        hop_positions=n_h, pulse_types=n_p, chip_time=1.0,
+    )
+    pulses = [make_mhp(4 + i, 0.05, DT) for i in range(n_p)]
+    chip, frame = cfg.chip_samples(DT), cfg.frame_samples(DT)
+    limit = frame - (n_h - 1) * chip - max(len(p.samples) for p in pulses)
+
+    def channel(n_paths, last=None):
+        offsets = np.sort(rng.choice(np.arange(1, limit + 1), n_paths - 1, replace=False))
+        if last is not None:
+            offsets[-1] = last
+        delays = (offsets + rng.uniform(-0.4, 0.4, n_paths - 1)) * DT
+        return ChannelRealization(rng.normal(size=n_paths), np.concatenate(([0.0], delays)))
+
+    desired = channel(int(rng.integers(1, 8)))
+    interferers = [channel(int(rng.integers(2, 8))), channel(int(rng.integers(2, 8)), limit + past)]
+    return cfg, pulses, desired, interferers
+
+
 class TestMaiVariance:
+    @given(seed=st.integers(0, 2**32 - 1), n_p=st.integers(1, 3), n_h=st.sampled_from([1, 3]),
+           scheme=st.sampled_from(["mrc", "egc"]), selective=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_windowed_sum_up_to_containment_limit(self, seed, n_p, n_h, scheme, selective):
+        cfg, pulses, desired, interferers = _limit_instance(seed, n_p, n_h)
+        n_sel = desired.n_paths // 2 + 1
+        comb = select_combiner(desired, scheme, "selective" if selective else "all", n_sel)
+        v = [composite_waveform(p, desired, comb.beta) for p in pulses]
+        sets = [[composite_waveform(p, ch, ch.gains) for p in pulses] for ch in interferers]
+        want = np.array([[_windowed_sigma2(u, v[j], j, cfg) for j in range(n_p)] for u in sets])
+        got = mai_variance_multi(sets, v, cfg).per_frame
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        if n_p == 1:
+            classical = mai_variance_classical(sets[1][0], v[0], cfg)
+            assert classical == pytest.approx(want[1, 0], rel=1e-12, abs=0)
+
+    def test_past_containment_limit_rejected(self):
+        cfg, pulses, desired, interferers = _limit_instance(5, 2, 3, past=1)
+        v = [composite_waveform(p, desired, desired.gains) for p in pulses]
+        sets = [[composite_waveform(p, ch, ch.gains) for p in pulses] for ch in interferers]
+        with pytest.raises(InfeasibleGeometryError):
+            mai_variance_multi(sets, v, cfg)
+        with pytest.raises(InfeasibleGeometryError):
+            mai_variance_classical(sets[1][0], v[0], replace(cfg, pulse_types=1))
+
     def test_orthogonal_supports_give_zero(self, mhp4):
         cfg = SystemConfig(
             n_users=2, frames_per_symbol=1, chips_per_frame=2000,

@@ -17,6 +17,7 @@ from mpir.channel import (
 )
 from mpir.errors import InfeasibleGeometryError, InvalidParameterError
 from mpir.montecarlo import rng_stream
+from mpir.pulses import grid_index, make_mhp
 from mpir.transceiver import SystemConfig
 
 
@@ -109,6 +110,20 @@ class TestSampleChannel:
         energies = [sample_channel(strong, reference_config, rng).energy for _ in range(n)]
         assert np.mean(energies) == pytest.approx(5.0, rel=0.05)
 
+    @given(seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 40),
+           decay=st.floats(0.01, 3.0), var=st.floats(0.0, 2.0), scale=st.floats(0.1, 10.0))
+    @settings(max_examples=40, deadline=None)
+    def test_path_means_are_mean_log_gain(self, seed, n_paths, decay, var, scale):
+        # the gains are drawn around mean_log_gain(params, l) for every l,
+        # bit for bit: replay the draw with the per-path scalar means
+        params = ChannelParams(n_paths, decay, var, mean_arrival=1.0, power_scale=scale)
+        chan = sample_channel(params, wide_open_config(), np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        mu = np.array([mean_log_gain(params, l) for l in range(n_paths)])
+        magnitudes = np.exp(mu + math.sqrt(var) * rng.standard_normal(n_paths))
+        signs = rng.integers(0, 2, size=n_paths) * 2 - 1
+        assert np.array_equal(chan.gains, math.sqrt(scale) * magnitudes * signs)
+
     def test_infeasible_geometry(self, reference_channel):
         # frame shorter than any 20-path spread can realistically satisfy
         cfg = SystemConfig(
@@ -146,6 +161,36 @@ class TestCompositeWaveform:
         nz = np.flatnonzero(full)
         assert np.array_equal(comp.samples, full[nz[0] : nz[-1] + 1])
         assert comp.t0 == pytest.approx(mhp4.t0 + nz[0] * dt)
+
+    @given(seed=st.integers(0, 2**32 - 1), dt=st.sampled_from([0.02, 2.0**-6]),
+           ties=st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_delay_snapping_matches_grid_index(self, seed, dt, ties):
+        # composites are bit-identical to snapping each delay with
+        # grid_index, including delays on exact half-sample ties (exact
+        # for the power-of-two step)
+        rng = np.random.default_rng(seed)
+        pulse = make_mhp(4, 0.05, dt)
+        n = 8
+        idx = np.sort(rng.choice(np.arange(1, 400), n - 1, replace=False))
+        frac = rng.uniform(0.0, 1.0, n - 1)
+        frac[rng.permutation(n - 1)[:ties]] = 0.5
+        delays = np.concatenate(([0.0], (idx + frac) * dt))
+        if dt == 2.0**-6:
+            assert np.count_nonzero(delays / dt % 1 == 0.5) >= ties
+        chan = ChannelRealization(rng.normal(size=n), delays)
+        weights = rng.normal(size=n)
+        weights[rng.integers(0, n)] = 0.0
+
+        offsets = [grid_index(d, dt) for d in chan.delays]
+        full = np.zeros(offsets[-1] + len(pulse.samples))
+        for w, k in zip(weights, offsets):
+            if w != 0.0:
+                full[k : k + len(pulse.samples)] += w * pulse.samples
+        nz = np.flatnonzero(full)
+        comp = composite_waveform(pulse, chan, weights)
+        assert np.array_equal(comp.samples, full[nz[0] : nz[-1] + 1])
+        assert comp.t0 == pulse.t0 + int(nz[0]) * dt
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
