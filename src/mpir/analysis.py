@@ -23,11 +23,11 @@ cross-checks in the test suite):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, composite_waveform, sample_channel
+from .channel import ChannelParams, composite_waveform, draw_channels
 from .errors import ConfigMismatchError, DegenerateInputError, InvalidParameterError
 from .pulses import _common_dt
 from .transceiver import SystemConfig, _check_frame_separable, decision_statistic, select_combiner
@@ -208,9 +208,9 @@ def conditional_bep_terms(
     The noise term for noise amplitude s is s**2 times the returned
     template energy, so a noise sweep can reuse these terms.
     """
-    comb = select_combiner(desired_chan, scheme, selection, n_paths)
+    beta = select_combiner(desired_chan, scheme, selection, n_paths)
     desired = [composite_waveform(p, desired_chan, desired_chan.gains) for p in pulses]
-    templates = [composite_waveform(p, desired_chan, comb.beta) for p in pulses]
+    templates = [composite_waveform(p, desired_chan, beta) for p in pulses]
     interferer_sets = [
         [composite_waveform(p, ch, ch.gains) for p in pulses] for ch in interferer_chans
     ]
@@ -244,16 +244,10 @@ def bep_averaged(
     sigmas = np.atleast_1d(
         np.asarray(noise_sigmas if noise_sigmas is not None else [config.noise_sigma], dtype=float)
     )
-    interferer_params = replace(
-        channel_params, power_scale=channel_params.power_scale * config.interferer_power
-    )
     pes = np.zeros((n_realizations, len(sigmas)))
     mai_out = np.zeros(n_realizations)
     for i in range(n_realizations):
-        desired = sample_channel(channel_params, config, rng)
-        interferers = [
-            sample_channel(interferer_params, config, rng) for _ in range(config.n_users - 1)
-        ]
+        desired, interferers = draw_channels(channel_params, config, rng, config.n_users - 1)
         signal, mai, energy = conditional_bep_terms(
             config, pulses, desired, interferers, scheme, selection, n_paths
         )

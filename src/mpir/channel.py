@@ -9,18 +9,20 @@ received signal is composed.
 Generated realizations are kept inside the single-frame containment
 regime (last delay < T_f - N_h*T_c) by rejection-resampling the whole
 realization, so every downstream correlation stays frame-separable.
+
+A composite u(t) = sum_l w_l p(t - delay_l) is a ``pulses.Waveform`` on
+the pulse's sample grid, with every delay snapped to that grid.
 """
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InfeasibleGeometryError, InvalidParameterError
-from .pulses import Pulse
+from .pulses import Waveform, grid_index
 
 _MAX_RESAMPLES = 1000
 
@@ -138,29 +140,18 @@ def sample_channel(params: ChannelParams, config, rng: np.random.Generator) -> C
     )
 
 
-@dataclass(frozen=True, eq=False)
-class CompositeWaveform:
-    """A sampled waveform with the same layout as Pulse (samples, dt, t0)."""
-
-    samples: np.ndarray
-    dt: float
-    t0: float
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1 or samples.size < 1:
-            raise InvalidParameterError("waveform needs a nonempty 1-D sample array")
-        if not self.dt > 0:
-            raise InvalidParameterError("dt must be positive")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def energy(self) -> float:
-        return float(self.dt * np.sum(self.samples**2))
+def draw_channels(
+    params: ChannelParams, config, rng: np.random.Generator, n_interferers: int
+) -> tuple[ChannelRealization, list[ChannelRealization]]:
+    """One desired channel, then ``n_interferers`` interferer channels, drawn
+    from ``rng`` in that order.  Interferers have their power_scale
+    multiplied by config.interferer_power."""
+    desired = sample_channel(params, config, rng)
+    interferer_params = replace(params, power_scale=params.power_scale * config.interferer_power)
+    return desired, [sample_channel(interferer_params, config, rng) for _ in range(n_interferers)]
 
 
-def composite_waveform(pulse: Pulse, chan: ChannelRealization, weights) -> CompositeWaveform:
+def composite_waveform(pulse: Waveform, chan: ChannelRealization, weights) -> Waveform:
     """Weighted sum of delayed pulse copies: sum_l weights[l] * pulse(t - delay_l).
 
     Each delay is snapped to the nearest sample-grid point so all later
@@ -171,36 +162,14 @@ def composite_waveform(pulse: Pulse, chan: ChannelRealization, weights) -> Compo
     if weights.shape != chan.gains.shape:
         raise InvalidParameterError("weights must have one entry per channel path")
     dt = pulse.dt
-    # grid_index of each delay; delays are nonnegative, so this is its branch
-    offsets = np.floor(chan.delays / dt + 0.5).astype(np.int64).tolist()
+    offsets = grid_index(chan.delays, dt).tolist()
     out = np.zeros(offsets[-1] + len(pulse.samples))
     for w, k in zip(weights.tolist(), offsets):
         if w != 0.0:
             out[k : k + len(pulse.samples)] += w * pulse.samples
     nz = np.flatnonzero(out)
     if len(nz) == 0:
-        return CompositeWaveform(np.zeros(1), dt, pulse.t0)
+        return Waveform(np.zeros(1), dt, pulse.t0)
     lead, last = int(nz[0]), int(nz[-1])
-    return CompositeWaveform(out[lead : last + 1], dt, pulse.t0 + lead * dt)
+    return Waveform(out[lead : last + 1], dt, pulse.t0 + lead * dt)
 
-
-def channel_to_csv(chan: ChannelRealization) -> str:
-    """Serialize a realization as CSV text: one row per tap (index, gain, delay_ns)."""
-    buf = io.StringIO()
-    buf.write("tap,gain,delay_ns\n")
-    for i, (g, d) in enumerate(zip(chan.gains, chan.delays)):
-        buf.write(f"{i},{float(g)!r},{float(d)!r}\n")
-    return buf.getvalue()
-
-
-def channel_from_csv(text: str) -> ChannelRealization:
-    """Parse the output of channel_to_csv back into a realization."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != "tap,gain,delay_ns":
-        raise InvalidParameterError("missing channel CSV header 'tap,gain,delay_ns'")
-    gains, delays = [], []
-    for ln in lines[1:]:
-        _, g, d = ln.split(",")
-        gains.append(float(g))
-        delays.append(float(d))
-    return ChannelRealization(np.array(gains), np.array(delays))

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, errors, montecarlo, spectral
-from .channel import ChannelParams, composite_waveform, sample_channel
+from .channel import ChannelParams, composite_waveform, draw_channels, sample_channel
 from .montecarlo import TrialPlan, rng_stream
 from .pulses import make_mhp
 from .transceiver import (
@@ -379,10 +379,7 @@ def _validate_checks(cfg: ExperimentConfig, seed: int, noise_std_scale: float = 
         yield f"channel mean energy ({label}) within 5%", ok, f"measured {mean_e:.4f}, target {scale}"
 
     # 3. per-frame MAI variance: closed form vs brute force
-    rng = rng_stream(seed, 12)
-    desired = sample_channel(cfg.channel, config, rng)
-    int_params = replace(cfg.channel, power_scale=cfg.channel.power_scale * config.interferer_power)
-    interferer = sample_channel(int_params, config, rng)
+    desired, (interferer,) = draw_channels(cfg.channel, config, rng_stream(seed, 12), 1)
     _, mai, _ = analysis.conditional_bep_terms(
         config, pulses, desired, [interferer], cfg.scheme, cfg.selection, cfg.combiner_paths
     )
@@ -399,8 +396,8 @@ def _validate_checks(cfg: ExperimentConfig, seed: int, noise_std_scale: float = 
     # 4. output-noise variance convention
     noisy = replace(config, noise_sigma=1.0)
     rng = rng_stream(seed, 14)
-    comb = select_combiner(desired, cfg.scheme, cfg.selection, cfg.combiner_paths)
-    templates = [composite_waveform(p, desired, comb.beta) for p in pulses]
+    beta = select_combiner(desired, cfg.scheme, cfg.selection, cfg.combiner_paths)
+    templates = [composite_waveform(p, desired, beta) for p in pulses]
     closed_n = analysis.noise_variance(templates, noisy)
     est_n = montecarlo.estimate_noise_variance(noisy, templates, 20_000, rng, noise_std_scale)
     rel_n = abs(est_n - closed_n) / closed_n

@@ -33,14 +33,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .channel import ChannelParams, ChannelRealization, composite_waveform, sample_channel
+from .channel import ChannelParams, ChannelRealization, composite_waveform, draw_channels
 from .errors import InvalidParameterError
-from .pulses import cross_correlation, grid_index
+from .pulses import cross_correlation, grid_index, lookup
 from .transceiver import (
     SystemConfig,
     _check_frame_separable,
@@ -122,12 +122,6 @@ class BerEstimate:
         return wilson_bounds(self.errors, self.bits)
 
 
-def _phi_at(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Correlation values at integer lag indices; exactly 0 outside the support."""
-    inside = (idx >= 0) & (idx < len(values))
-    return np.where(inside, values.take(idx, mode="clip"), 0.0)
-
-
 def realization_channels(
     config: SystemConfig,
     channel_params: ChannelParams,
@@ -141,14 +135,7 @@ def realization_channels(
     realization with the waveform simulation.
     """
     rng_ch = rng_stream(master_seed, index, _ROLE_CHANNEL)
-    desired = sample_channel(channel_params, config, rng_ch)
-    interferer_params = replace(
-        channel_params, power_scale=channel_params.power_scale * config.interferer_power
-    )
-    interferers = [
-        sample_channel(interferer_params, config, rng_ch) for _ in range(config.n_users - 1)
-    ]
-    return desired, interferers
+    return draw_channels(channel_params, config, rng_ch, config.n_users - 1)
 
 
 def _add_user(
@@ -195,7 +182,7 @@ def _add_user(
             m = slice(first + e, f_hi + e, n_p)
             r = (s + e) % n_p
             idx = e * frame + shift + (th[m] - template_th[f]) * chip + q0s[r][s]
-            acc[f] += amps[m] * _phi_at(phis[r][s].values, idx)
+            acc[f] += amps[m] * lookup(phis[r][s].values, idx)
 
 
 def _realization_decisions(
@@ -231,9 +218,9 @@ def _realization_decisions(
         config, channel_params, master_seed, index
     )
 
-    comb = select_combiner(desired_chan, scheme, selection, n_paths)
+    beta = select_combiner(desired_chan, scheme, selection, n_paths)
     desired = [composite_waveform(p, desired_chan, desired_chan.gains) for p in pulses]
-    templates = [composite_waveform(p, desired_chan, comb.beta) for p in pulses]
+    templates = [composite_waveform(p, desired_chan, beta) for p in pulses]
     _check_frame_separable(desired, config, dt)
     _check_frame_separable(templates, config, dt)
 
@@ -458,8 +445,8 @@ def estimate_mai_variance(
     chip = config.chip_samples(dt)
     frame_len = config.frame_samples(dt)
 
-    comb = select_combiner(desired_chan, scheme, selection, n_paths)
-    v = composite_waveform(pulses[frame % n_p], desired_chan, comb.beta)
+    beta = select_combiner(desired_chan, scheme, selection, n_paths)
+    v = composite_waveform(pulses[frame % n_p], desired_chan, beta)
     u_set = [composite_waveform(p, interferer_chan, interferer_chan.gains) for p in pulses]
     phis = [cross_correlation(u, v) for u in u_set]
     q0s = [grid_index(-phi.lag0, dt) for phi in phis]
@@ -481,7 +468,7 @@ def estimate_mai_variance(
         c_m = rng.integers(0, n_h, n_samples)
         d_m = rng.integers(0, 2, n_samples) * 2 - 1
         idx = (m - frame) * frame_len + (c_m - c_j) * chip + tau + q0s[r]
-        acc += d_m * sym_bits[math.floor(m / n_f)] * _phi_at(phis[r].values, idx)
+        acc += d_m * sym_bits[math.floor(m / n_f)] * lookup(phis[r].values, idx)
     acc *= rng.integers(0, 2, n_samples) * 2 - 1  # template polarity d_j of user 1
     return float(np.var(acc, ddof=1))
 

@@ -1,8 +1,14 @@
-"""UWB pulse waveforms: generation, normalization, correlation and spectra.
+"""Sampled waveforms on one time grid: UWB pulse generation, energy
+normalization, cross-correlations and energy spectra.
 
-All waveforms are uniformly sampled real arrays. Time is measured in
-nanoseconds and frequency in gigahertz throughout the package, so a
-unit-energy pulse satisfies dt * sum(samples**2) == 1 with dt in ns.
+Every signal of the package is a ``Waveform``: a uniformly sampled real
+array with its sample step and the time of its first sample.  The
+unit-energy pulses p_j, the channel composites u_j, the RAKE templates
+v_j and the transmitted blocks are all of this one type, and their
+cross-correlations are ``CorrelationFunction`` tables on the same step.
+Time is measured in nanoseconds and frequency in gigahertz throughout the
+package, so a unit-energy pulse satisfies dt * sum(samples**2) == 1 with
+dt in ns.
 
 The pulse family shipped here is the modified Hermite pulse (MHP)
 
@@ -17,7 +23,7 @@ frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import hermite_e
@@ -33,38 +39,48 @@ from .errors import (
 # discarded tail energy is far below Monte Carlo resolution.
 TRUNCATION_LEVEL = 1e-6
 
-# Relative slack when deciding whether a time lands on the sample grid.
-_GRID_TOL = 1e-6
+# Slack when deciding that a value lies on a grid or that two grids
+# coincide: relative to the sample step for times, in GHz between
+# frequency grids.
+GRID_TOL = 1e-9
 
-# Relative slack when deciding whether two waveforms share one sample step.
-_DT_TOL = 1e-9
 
-
-def grid_index(x: float, dt: float) -> int:
-    """Nearest grid index for time ``x`` on a grid of step ``dt``.
+def grid_index(x, dt: float):
+    """Nearest grid index for the time(s) ``x`` on a grid of step ``dt``.
 
     Rounds half away from zero so the result does not depend on banker's
-    rounding of the platform.
+    rounding of the platform.  A scalar gives an int, an array an int64
+    array of the same shape, by the same float operations.
     """
     r = x / dt
-    return int(math.floor(r + 0.5)) if r >= 0 else -int(math.floor(-r + 0.5))
+    if isinstance(r, np.ndarray):
+        return np.copysign(np.floor(np.abs(r) + 0.5), r).astype(np.int64)
+    n = math.floor(abs(r) + 0.5)
+    return n if r >= 0 else -n
 
 
 def grid_count(x: float, dt: float, what: str = "interval") -> int:
     """Number of samples spanning ``x`` which must be an exact multiple of ``dt``."""
     n = grid_index(x, dt)
-    if abs(x - n * dt) > _GRID_TOL * dt:
+    if abs(x - n * dt) > GRID_TOL * dt:
         raise GridMismatchError(f"{what} ({x}) is not a multiple of the sample step {dt}")
     return n
 
 
-@dataclass(frozen=True, eq=False)
-class Pulse:
-    """A finite-support sampled waveform.
+def lookup(values: np.ndarray, idx):
+    """values[idx] at integer indices; exactly 0 outside the support."""
+    inside = (idx >= 0) & (idx < len(values))
+    return np.where(inside, values.take(idx, mode="clip"), 0.0)
 
-    samples : real array, length >= 2
-    dt      : seconds per sample (ns in this package's convention)
-    t0      : time of the first sample relative to the pulse-local origin
+
+@dataclass(frozen=True, eq=False)
+class Waveform:
+    """A finite-support waveform sampled on a uniform time grid.
+
+    samples : nonempty 1-D array of finite reals
+    dt      : sample step (ns)
+    t0      : time of the first sample: pulse-local for a pulse or a
+              channel composite, absolute for a block or a template
     label   : free-form identifier, e.g. "mhp4"
     """
 
@@ -75,10 +91,12 @@ class Pulse:
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1 or samples.size < 2:
-            raise InvalidParameterError("pulse needs a 1-D sample array of length >= 2")
-        if not np.all(np.isfinite(samples)):
-            raise InvalidParameterError("pulse samples must be finite")
+        if samples.ndim != 1 or samples.size < 1:
+            raise InvalidParameterError("waveform needs a nonempty 1-D sample array")
+        # min and max propagate NaN and +-inf, and make no sample-sized
+        # temporary for a long block
+        if not (math.isfinite(samples.min()) and math.isfinite(samples.max())):
+            raise InvalidParameterError("waveform samples must be finite")
         if not self.dt > 0:
             raise InvalidParameterError(f"dt must be positive, got {self.dt}")
         samples.setflags(write=False)
@@ -87,11 +105,6 @@ class Pulse:
     @property
     def energy(self) -> float:
         return float(self.dt * np.sum(self.samples**2))
-
-    @property
-    def duration(self) -> float:
-        """Support length (length - 1) * dt."""
-        return (len(self.samples) - 1) * self.dt
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,13 +129,8 @@ class CorrelationFunction:
 
     def evaluate(self, lags):
         """Value at the grid point nearest each lag; 0 outside the support."""
-        arr = np.atleast_1d(np.asarray(lags, dtype=float))
-        r = (arr - self.lag0) / self.lag_step
-        idx = np.where(r >= 0, np.floor(r + 0.5), -np.floor(-r + 0.5)).astype(np.int64)
-        inside = (idx >= 0) & (idx < len(self.values))
-        out = np.zeros(arr.shape)
-        out[inside] = self.values[idx[inside]]
-        return float(out[0]) if np.ndim(lags) == 0 else out
+        out = lookup(self.values, grid_index(np.asarray(lags, dtype=float) - self.lag0, self.lag_step))
+        return float(out) if np.ndim(lags) == 0 else out
 
     @property
     def lags(self) -> np.ndarray:
@@ -149,7 +157,7 @@ class Spectrum:
         object.__setattr__(self, "magnitude_sq", mag)
 
 
-def make_mhp(order: int, tau_p: float, dt: float) -> Pulse:
+def make_mhp(order: int, tau_p: float, dt: float) -> Waveform:
     """Unit-energy modified Hermite pulse of the given order.
 
     The pulse is sampled on a symmetric grid i*dt, truncated where |h_n|
@@ -184,49 +192,45 @@ def make_mhp(order: int, tau_p: float, dt: float) -> Pulse:
 
     t = np.arange(-m, m + 1) * dt
     h = hermite_e.hermeval(t / tau_p, coef) * np.exp(-(t**2) / (4 * tau_p**2))
-    pulse = Pulse(h, dt, -m * dt, label=f"mhp{order}")
+    pulse = Waveform(h, dt, -m * dt, label=f"mhp{order}")
     return normalize_energy(pulse)
 
 
-def normalize_energy(p: Pulse) -> Pulse:
-    """Scale a pulse to unit energy: dt * sum(samples**2) == 1."""
+def normalize_energy(p: Waveform) -> Waveform:
+    """Scale a waveform to unit energy: dt * sum(samples**2) == 1."""
     e = p.energy
     if e <= 0.0 or not np.isfinite(e):
-        raise DegenerateInputError("cannot normalize a pulse with zero energy")
-    return Pulse(p.samples / math.sqrt(e), p.dt, p.t0, p.label)
+        raise DegenerateInputError("cannot normalize a waveform with zero energy")
+    return Waveform(p.samples / math.sqrt(e), p.dt, p.t0, p.label)
 
 
 def _common_dt(waves) -> float:
     """The sample step shared by ``waves``; resampling is out of scope."""
     dt = waves[0].dt
     for w in waves[1:]:
-        if abs(w.dt - dt) > _DT_TOL * dt:
+        if abs(w.dt - dt) > GRID_TOL * dt:
             raise GridMismatchError(f"sample steps differ: {dt} vs {w.dt} (resampling is out of scope)")
     return dt
 
 
-def cross_correlation(a, b) -> CorrelationFunction:
+def cross_correlation(a: Waveform, b: Waveform) -> CorrelationFunction:
     """Cross-correlation phi_ab(x) = integral a(t - x) b(t) dt.
 
-    Computed as the exact discrete convolution of the sample arrays scaled
-    by dt, on a lag grid of step dt covering the full overlap support.
-    Accepts any two objects with samples/dt/t0 attributes (pulses or
-    channel composites).
+    The discrete convolution of the sample arrays scaled by dt, taken by
+    FFT on a power-of-two length, on a lag grid of step dt covering the
+    full overlap support.
     """
     dt = _common_dt((a, b))
-    ar = np.asarray(a.samples, dtype=float)[::-1]
-    bs = np.asarray(b.samples, dtype=float)
+    ar = a.samples[::-1]
+    bs = b.samples
     n = len(ar) + len(bs) - 1
-    if n > 256:
-        nfft = 1 << (n - 1).bit_length()
-        vals = np.fft.irfft(np.fft.rfft(ar, nfft) * np.fft.rfft(bs, nfft), nfft)[:n] * dt
-    else:
-        vals = np.convolve(ar, bs) * dt
+    nfft = 1 << (n - 1).bit_length()
+    vals = np.fft.irfft(np.fft.rfft(ar, nfft) * np.fft.rfft(bs, nfft), nfft)[:n] * dt
     lag0 = b.t0 - a.t0 - (len(a.samples) - 1) * dt
     return CorrelationFunction(vals, dt, lag0)
 
 
-def pulse_spectrum(p: Pulse, n_freq: int) -> Spectrum:
+def pulse_spectrum(p: Waveform, n_freq: int) -> Spectrum:
     """|P(f)|^2 for the discrete-time approximation of the Fourier transform.
 
     The sample-array DFT is scaled by dt, giving a two-sided spectrum on a

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, InsufficientDataError, InvalidParameterError
-from .pulses import cross_correlation, pulse_spectrum
+from .pulses import GRID_TOL, CorrelationFunction, Waveform, cross_correlation, pulse_spectrum
 from .transceiver import _check_pulse_set
 
 
@@ -44,25 +44,7 @@ class SpectralDensity:
         object.__setattr__(self, "psd", psd)
 
 
-@dataclass(frozen=True, eq=False)
-class AvgAutocorrelation:
-    """Time-average autocorrelation on a symmetric lag grid (ns)."""
-
-    lags: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        lags = np.asarray(self.lags, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if lags.shape != values.shape:
-            raise InvalidParameterError("lags and values must have equal shape")
-        lags.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "lags", lags)
-        object.__setattr__(self, "values", values)
-
-
-def analytic_autocorrelation(pulses, config) -> AvgAutocorrelation:
+def analytic_autocorrelation(pulses, config) -> CorrelationFunction:
     """(1/(N_p*T_f*N_f)) * sum_l phi_{p_l p_l}(tau) on the common lag grid."""
     dt = _check_pulse_set(pulses, config)
     corrs = [cross_correlation(p, p) for p in pulses]
@@ -72,8 +54,7 @@ def analytic_autocorrelation(pulses, config) -> AvgAutocorrelation:
         h = (len(c.values) - 1) // 2
         total[half - h : half + h + 1] += c.values
     total /= config.pulse_types * config.frame_time * config.frames_per_symbol
-    lags = np.arange(-half, half + 1) * dt
-    return AvgAutocorrelation(lags, total)
+    return CorrelationFunction(total, dt, -half * dt)
 
 
 def analytic_psd(pulses, config, n_freq: int) -> SpectralDensity:
@@ -89,16 +70,18 @@ def analytic_psd(pulses, config, n_freq: int) -> SpectralDensity:
     return SpectralDensity(freqs, total)
 
 
-def empirical_psd(signal, segment_len: int, n_segments: int, symbol_samples: int | None = None) -> SpectralDensity:
+def empirical_psd(
+    signal: Waveform, segment_len: int, n_segments: int, symbol_samples: int | None = None
+) -> SpectralDensity:
     """Average of per-segment rectangular-window periodograms.
 
-    ``signal`` is a sampled waveform (anything with samples/dt).  Segments
-    are consecutive and non-overlapping; each periodogram is
-    |dt * DFT|^2 / segment_duration.  When ``symbol_samples`` is given the
-    segment length must be a whole number of symbol periods, which is what
-    makes the estimator unbiased for a cyclostationary input.
+    Segments of ``signal`` are consecutive and non-overlapping; each
+    periodogram is |dt * DFT|^2 / segment_duration.  When
+    ``symbol_samples`` is given the segment length must be a whole number
+    of symbol periods, which is what makes the estimator unbiased for a
+    cyclostationary input.
     """
-    samples = np.asarray(signal.samples, dtype=float)
+    samples = signal.samples
     dt = signal.dt
     if segment_len < 2 or n_segments < 1:
         raise InvalidParameterError("segment_len >= 2 and n_segments >= 1 required")
@@ -134,7 +117,7 @@ def band_containing(sd: SpectralDensity, fraction: float = 0.99) -> tuple[float,
 def psd_mismatch(a: SpectralDensity, b: SpectralDensity, band: tuple[float, float]) -> float:
     """Relative L2 distance sqrt(int (a-b)^2) / sqrt(int a^2) over the band."""
     lo, hi = band
-    if a.freqs.shape != b.freqs.shape or np.max(np.abs(a.freqs - b.freqs)) > 1e-9:
+    if a.freqs.shape != b.freqs.shape or np.max(np.abs(a.freqs - b.freqs)) > GRID_TOL:
         raise GridMismatchError("spectral densities are not on a common frequency grid")
     sel = (a.freqs >= lo) & (a.freqs <= hi)
     if not np.any(sel):

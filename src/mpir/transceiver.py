@@ -1,11 +1,11 @@
 """Transmitted blocks, the multiuser received signal, RAKE templates and
 the correlation decision statistic.
 
-Block waveforms live on the common sample grid of the pulses that built
-them.  A block's t0 field is the absolute time of its first sample, so
-blocks, templates and received signals can be aligned exactly by integer
-grid arithmetic.  Frame j of a block occupies [j*T_f, (j+1)*T_f); the
-time-hopping code shifts the frame's waveform by whole chips inside it.
+Blocks, templates and received signals are ``pulses.Waveform`` objects on
+the common sample grid of the pulses that built them.  Their t0 field is
+the absolute time of the first sample, so they can be aligned exactly by
+integer grid arithmetic.  Frame j of a block occupies [j*T_f, (j+1)*T_f);
+the time-hopping code shifts the frame's waveform by whole chips inside it.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, CompositeWaveform
+from .channel import ChannelRealization
 from .errors import ConfigMismatchError, InfeasibleGeometryError, InvalidParameterError
-from .pulses import _common_dt, grid_count, grid_index
+from .pulses import GRID_TOL, Waveform, _common_dt, grid_count, grid_index
 
 
 @dataclass(frozen=True)
@@ -83,16 +83,17 @@ def _check_pulse_set(pulses, config: SystemConfig) -> float:
     dt = _common_dt(pulses)
     for p in pulses:
         if abs(p.energy - 1.0) > 1e-6:
-            raise InvalidParameterError(f"pulse {getattr(p, 'label', '?')} is not unit energy")
+            raise InvalidParameterError(f"pulse {p.label} is not unit energy")
     return dt
 
 
 def check_pulse_fits(pulses, config: SystemConfig) -> None:
     """Enforce the one-pulse-per-chip geometry: support <= T_c."""
     for p in pulses:
-        if p.duration > config.chip_time * (1 + 1e-9):
+        duration = (len(p.samples) - 1) * p.dt
+        if duration > config.chip_time * (1 + GRID_TOL):
             raise ConfigMismatchError(
-                f"pulse {getattr(p, 'label', '?')} spans {p.duration:.4f} ns, "
+                f"pulse {p.label} spans {duration:.4f} ns, "
                 f"more than one chip ({config.chip_time} ns)"
             )
 
@@ -150,27 +151,13 @@ def generate_codes(config: SystemConfig, n_frames: int, rng: np.random.Generator
     return CodeSequences(th, polarity)
 
 
-@dataclass(frozen=True, eq=False)
-class RakeCombiner:
-    """Per-path combining weights plus the identity of the scheme that made them."""
-
-    beta: np.ndarray
-    scheme: str
-    selection: str
-
-    def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-
-
 def select_combiner(
     chan: ChannelRealization,
     scheme: str = "mrc",
     selection: str = "all",
     n_paths: int | None = None,
-) -> RakeCombiner:
-    """RAKE weights for a known realization.
+) -> np.ndarray:
+    """RAKE weights beta for a known realization.
 
     mrc sets beta_l = gain_l, egc sets beta_l = sign(gain_l).  For partial
     (first n_paths) or selective (n_paths largest |gain|) combining the
@@ -194,7 +181,7 @@ def select_combiner(
         mask = np.zeros(chan.n_paths, dtype=bool)
         mask[keep] = True
         beta[~mask] = 0.0
-    return RakeCombiner(beta, scheme, selection if selection == "all" else f"{selection}({n_paths})")
+    return beta
 
 
 def _assemble(
@@ -203,7 +190,7 @@ def _assemble(
     th: np.ndarray,
     amplitudes: np.ndarray,
     first_frame: int = 0,
-) -> CompositeWaveform:
+) -> Waveform:
     """Place amplitudes[j] * waves[(first_frame+j) % N_p] in consecutive frames.
 
     Frame first_frame+j starts at absolute time (first_frame+j)*T_f; the
@@ -230,10 +217,10 @@ def _assemble(
         w = waves[(first_frame + j) % config.pulse_types]
         start = guard + j * frame + th[j] * chip + t0_idx[(first_frame + j) % config.pulse_types]
         out[start : start + len(w.samples)] += a * w.samples
-    return CompositeWaveform(out, dt, (first_frame * frame - guard) * dt)
+    return Waveform(out, dt, (first_frame * frame - guard) * dt)
 
 
-def transmit_block(config: SystemConfig, pulses, bits, codes: CodeSequences) -> CompositeWaveform:
+def transmit_block(config: SystemConfig, pulses, bits, codes: CodeSequences) -> Waveform:
     """Transmitted waveform for a block of bits.
 
     s(t) = (1/sqrt(N_f)) sum_j d_j b_{j div N_f} p_{j mod N_p}(t - j*T_f - c_j*T_c),
@@ -244,7 +231,7 @@ def transmit_block(config: SystemConfig, pulses, bits, codes: CodeSequences) -> 
     return received_block(config, pulses, bits, codes)
 
 
-def received_block(config: SystemConfig, composites, bits, codes: CodeSequences) -> CompositeWaveform:
+def received_block(config: SystemConfig, composites, bits, codes: CodeSequences) -> Waveform:
     """One user's block built from the given frame waveforms (the clean
     pulses in transmit_block, channel-convolved composites at a receiver):
     frame j carries amplitude d_j b_{j div N_f} / sqrt(N_f)."""
@@ -257,7 +244,7 @@ def received_block(config: SystemConfig, composites, bits, codes: CodeSequences)
     return _assemble(config, composites, codes.th, amps)
 
 
-def rake_template(config: SystemConfig, codes: CodeSequences, combined, bit_index: int) -> CompositeWaveform:
+def rake_template(config: SystemConfig, codes: CodeSequences, combined, bit_index: int) -> Waveform:
     """Template for one bit: sum_j d_j v_{j mod N_p}(t - j*T_f - c_j*T_c)
     over the N_f frames of that bit (no bit value, no 1/sqrt(N_f)).
     The result is trimmed to its nonzero support."""
@@ -277,7 +264,7 @@ def rake_template(config: SystemConfig, codes: CodeSequences, combined, bit_inde
     nz = np.flatnonzero(block.samples)
     if len(nz) == 0:
         return block
-    return CompositeWaveform(
+    return Waveform(
         block.samples[nz[0] : nz[-1] + 1], block.dt, block.t0 + int(nz[0]) * block.dt
     )
 
@@ -287,7 +274,7 @@ def compose_received(
     blocks,
     offsets,
     rng: np.random.Generator | None = None,
-) -> CompositeWaveform:
+) -> Waveform:
     """Asynchronous multiuser sum plus white noise.
 
     blocks[k] is user k's channel-convolved block; offsets[k] is its clock
@@ -315,10 +302,10 @@ def compose_received(
         if rng is None:
             raise InvalidParameterError("noise_sigma > 0 requires an rng")
         out += (config.noise_sigma / math.sqrt(dt)) * rng.standard_normal(len(out))
-    return CompositeWaveform(out, dt, lo * dt)
+    return Waveform(out, dt, lo * dt)
 
 
-def decision_statistic(received: CompositeWaveform, template: CompositeWaveform) -> float:
+def decision_statistic(received: Waveform, template: Waveform) -> float:
     """Correlator output Y = integral r(t) s(t) dt over the template support.
 
     The bit decision is sign(Y).  Both waveforms must share the sample

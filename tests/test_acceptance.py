@@ -200,8 +200,8 @@ class TestA3MaiVarianceOracle:
             desired = sample_channel(channel_params, config_double, rng)
             strong = replace(channel_params, power_scale=5.0)
             interferer = sample_channel(strong, config_double, rng)
-            comb = select_combiner(desired, "mrc", "all")
-            templates = [composite_waveform(p, desired, comb.beta) for p in pulses]
+            beta = select_combiner(desired, "mrc", "all")
+            templates = [composite_waveform(p, desired, beta) for p in pulses]
             u_set = [composite_waveform(p, interferer, interferer.gains) for p in pulses]
             out = mai_variance_multi([u_set], templates, config_double)
             frame = pair % config_double.pulse_types
@@ -226,8 +226,8 @@ class TestA4NoiseVariance:
     def test_closed_form_vs_noise_only_correlator(self, config_double, channel_params, pulses):
         rng = rng_stream(304, 0)
         desired = sample_channel(channel_params, config_double, rng)
-        comb = select_combiner(desired, "mrc", "all")
-        templates = [composite_waveform(p, desired, comb.beta) for p in pulses]
+        beta = select_combiner(desired, "mrc", "all")
+        templates = [composite_waveform(p, desired, beta) for p in pulses]
         noisy = replace(config_double, noise_sigma=0.9)
         closed = noise_variance(templates, noisy)
         est = estimate_noise_variance(noisy, templates, 100_000, rng_stream(304, 1))
@@ -339,9 +339,9 @@ class TestA7ReductionIdentity:
             srng = np.random.default_rng(rng_master.integers(2**32))
             desired = sample_channel(params, cfg, srng)
             interferer = sample_channel(replace(params, power_scale=5.0), cfg, srng)
-            comb = select_combiner(desired, "mrc", "all")
+            beta = select_combiner(desired, "mrc", "all")
             u = composite_waveform(pulse, desired, desired.gains)
-            v = composite_waveform(pulse, desired, comb.beta)
+            v = composite_waveform(pulse, desired, beta)
             ui = composite_waveform(pulse, interferer, interferer.gains)
             multi = bep_multi([u], [v], mai_variance_multi([[ui]], [v], cfg), cfg)
             single = bep_single(u, v, [mai_variance_classical(ui, v, cfg)], cfg)

@@ -136,8 +136,8 @@ class TestMaiVariance:
     def test_matches_windowed_sum_up_to_containment_limit(self, seed, n_p, n_h, scheme, selective):
         cfg, pulses, desired, interferers = _limit_instance(seed, n_p, n_h)
         n_sel = desired.n_paths // 2 + 1
-        comb = select_combiner(desired, scheme, "selective" if selective else "all", n_sel)
-        v = [composite_waveform(p, desired, comb.beta) for p in pulses]
+        beta = select_combiner(desired, scheme, "selective" if selective else "all", n_sel)
+        v = [composite_waveform(p, desired, beta) for p in pulses]
         sets = [[composite_waveform(p, ch, ch.gains) for p in pulses] for ch in interferers]
         want = np.array([[_windowed_sigma2(u, v[j], j, cfg) for j in range(n_p)] for u in sets])
         got = mai_variance_multi(sets, v, cfg).per_frame
@@ -174,8 +174,8 @@ class TestMaiVariance:
 
     def test_quadratic_scaling_in_interferer_gain(self):
         cfg, pulses, desired, interferers = _reference_instance(31)
-        comb = select_combiner(desired, "mrc", "all")
-        v = [composite_waveform(p, desired, comb.beta) for p in pulses]
+        beta = select_combiner(desired, "mrc", "all")
+        v = [composite_waveform(p, desired, beta) for p in pulses]
         u = [composite_waveform(p, interferers[0], interferers[0].gains) for p in pulses]
         u3 = [composite_waveform(p, interferers[0], 3.0 * interferers[0].gains) for p in pulses]
         base = mai_variance_multi([u], v, cfg)
@@ -188,8 +188,8 @@ class TestMaiVariance:
     def test_single_pulse_reduction_matches_classical(self):
         cfg, pulses, desired, interferers = _reference_instance(32)
         single = replace(cfg, pulse_types=1)
-        comb = select_combiner(desired, "mrc", "all")
-        v = composite_waveform(pulses[0], desired, comb.beta)
+        beta = select_combiner(desired, "mrc", "all")
+        v = composite_waveform(pulses[0], desired, beta)
         u = composite_waveform(pulses[0], interferers[0], interferers[0].gains)
         multi = mai_variance_multi([[u]], [v], single)
         classical = mai_variance_classical(u, v, single)
@@ -199,8 +199,8 @@ class TestMaiVariance:
         from mpir.montecarlo import estimate_mai_variance
 
         cfg, pulses, desired, interferers = _reference_instance(33)
-        comb = select_combiner(desired, "mrc", "all")
-        v = [composite_waveform(p, desired, comb.beta) for p in pulses]
+        beta = select_combiner(desired, "mrc", "all")
+        v = [composite_waveform(p, desired, beta) for p in pulses]
         u = [composite_waveform(p, interferers[0], interferers[0].gains) for p in pulses]
         out = mai_variance_multi([u], v, cfg)
         est = estimate_mai_variance(
@@ -229,8 +229,8 @@ class TestMaiVariance:
         results = []
         for dt in (DT, DT / 2):
             pulses = [make_mhp(4, 0.05, dt), make_mhp(5, 0.05, dt)]
-            comb = select_combiner(desired, "mrc", "all")
-            v = [composite_waveform(p, desired, comb.beta) for p in pulses]
+            beta = select_combiner(desired, "mrc", "all")
+            v = [composite_waveform(p, desired, beta) for p in pulses]
             u = [composite_waveform(p, interferer, interferer.gains) for p in pulses]
             results.append(mai_variance_multi([u], v, cfg).total)
         assert results[1] == pytest.approx(results[0], rel=2e-3)
@@ -241,8 +241,8 @@ class TestMaiVariance:
     @settings(max_examples=8, deadline=None)
     def test_invariant_under_interferer_polarity_flip(self, seed, n_interferers, flip):
         cfg, pulses, desired, interferers = _reference_instance(seed, n_interferers)
-        comb = select_combiner(desired, "mrc", "all")
-        v = [composite_waveform(p, desired, comb.beta) for p in pulses]
+        beta = select_combiner(desired, "mrc", "all")
+        v = [composite_waveform(p, desired, beta) for p in pulses]
         k = flip % n_interferers
         flipped = list(interferers)
         flipped[k] = ChannelRealization(-interferers[k].gains, interferers[k].delays)
@@ -259,8 +259,8 @@ class TestMaiVariance:
 class TestNoiseVariance:
     def test_zero_noise(self):
         cfg, pulses, desired, _ = _reference_instance(35)
-        comb = select_combiner(desired, "mrc", "all")
-        v = [composite_waveform(p, desired, comb.beta) for p in pulses]
+        beta = select_combiner(desired, "mrc", "all")
+        v = [composite_waveform(p, desired, beta) for p in pulses]
         assert noise_variance(v, cfg) == 0.0
 
     def test_single_path_unit_gain(self, mhp4):
@@ -278,8 +278,8 @@ class TestNoiseVariance:
 
         cfg, pulses, desired, _ = _reference_instance(36)
         noisy = replace(cfg, noise_sigma=0.8)
-        comb = select_combiner(desired, "mrc", "all")
-        v = [composite_waveform(p, desired, comb.beta) for p in pulses]
+        beta = select_combiner(desired, "mrc", "all")
+        v = [composite_waveform(p, desired, beta) for p in pulses]
         closed = noise_variance(v, noisy)
         est = estimate_noise_variance(noisy, v, 30_000, rng_stream(36, 1))
         assert est == pytest.approx(closed, rel=0.03)
@@ -289,8 +289,8 @@ class TestBep:
     def test_zero_signal_gives_half(self):
         cfg, pulses, desired, interferers = _reference_instance(37)
         noisy = replace(cfg, noise_sigma=1.0)
-        comb = select_combiner(desired, "mrc", "all")
-        v = [composite_waveform(p, desired, comb.beta) for p in pulses]
+        beta = select_combiner(desired, "mrc", "all")
+        v = [composite_waveform(p, desired, beta) for p in pulses]
         zero_u = [composite_waveform(p, desired, np.zeros(desired.n_paths)) for p in pulses]
         out = bep_multi(zero_u, v, 0.0, noisy)
         assert out.pe == pytest.approx(0.5, abs=1e-12)
@@ -319,9 +319,9 @@ class TestBep:
         rng = rng_stream(38, 0)
         desired = sample_channel(params, cfg2, rng)
         interferer = sample_channel(replace(params, power_scale=5.0), cfg2, rng)
-        comb = select_combiner(desired, "mrc", "all")
+        beta = select_combiner(desired, "mrc", "all")
         u = composite_waveform(mhp4, desired, desired.gains)
-        v = composite_waveform(mhp4, desired, comb.beta)
+        v = composite_waveform(mhp4, desired, beta)
         ui = composite_waveform(mhp4, interferer, interferer.gains)
         two = bep_multi([u, u], [v, v], mai_variance_multi([[ui, ui]], [v, v], cfg2), cfg2)
         one = bep_single(u, v, [mai_variance_classical(ui, v, cfg1)], cfg1)
@@ -372,9 +372,9 @@ class TestBep:
         srng = np.random.default_rng(seed + 1)
         desired = sample_channel(params, cfg, srng)
         interferer = sample_channel(replace(params, power_scale=5.0), cfg, srng)
-        comb = select_combiner(desired, "mrc", "all")
+        beta = select_combiner(desired, "mrc", "all")
         u = composite_waveform(pulse, desired, desired.gains)
-        v = composite_waveform(pulse, desired, comb.beta)
+        v = composite_waveform(pulse, desired, beta)
         ui = composite_waveform(pulse, interferer, interferer.gains)
         multi = bep_multi([u], [v], mai_variance_multi([[ui]], [v], cfg), cfg)
         single = bep_single(u, v, [mai_variance_classical(ui, v, cfg)], cfg)

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from mpir.channel import (
     ChannelParams,
     ChannelRealization,
-    channel_from_csv,
-    channel_to_csv,
     composite_waveform,
+    draw_channels,
     mean_log_gain,
     sample_channel,
 )
@@ -134,6 +133,23 @@ class TestSampleChannel:
             sample_channel(reference_channel, cfg, rng_stream(77, 6))
 
 
+class TestDrawChannels:
+    def test_desired_then_scaled_interferers(self, reference_channel, reference_config):
+        # one desired draw, then the interferers at interferer_power times
+        # the power scale, all from the same stream in that order
+        desired, interferers = draw_channels(reference_channel, reference_config, rng_stream(80, 0), 3)
+        rng = rng_stream(80, 0)
+        strong = replace(
+            reference_channel, power_scale=reference_channel.power_scale * reference_config.interferer_power
+        )
+        want = [sample_channel(reference_channel, reference_config, rng)]
+        want += [sample_channel(strong, reference_config, rng) for _ in range(3)]
+        assert len(interferers) == 3
+        for got, ref in zip([desired, *interferers], want):
+            assert np.array_equal(got.gains, ref.gains)
+            assert np.array_equal(got.delays, ref.delays)
+
+
 class TestCompositeWaveform:
     def test_single_path_identity(self, mhp4):
         chan = ChannelRealization(np.array([1.0]), np.array([0.0]))
@@ -225,14 +241,3 @@ class TestCompositeWaveform:
         with pytest.raises(InvalidParameterError):
             composite_waveform(mhp4, chan, np.array([1.0]))
 
-
-class TestSerialization:
-    def test_round_trip_exact(self, reference_channel, reference_config):
-        chan = sample_channel(reference_channel, reference_config, rng_stream(79, 0))
-        back = channel_from_csv(channel_to_csv(chan))
-        assert np.array_equal(back.gains, chan.gains)
-        assert np.array_equal(back.delays, chan.delays)
-
-    def test_header_required(self):
-        with pytest.raises(InvalidParameterError):
-            channel_from_csv("0,1.0,0.0\n")

@@ -22,7 +22,7 @@ from mpir.montecarlo import (
     wilson_bounds,
     wilson_halfwidth,
 )
-from mpir.pulses import grid_index, make_mhp
+from mpir.pulses import grid_index, lookup, make_mhp
 from mpir.transceiver import (
     SystemConfig,
     _assemble,
@@ -230,9 +230,9 @@ def reference_decisions(config, pulses, channel_params, n_bits, seed, index,
     sym = config.symbol_samples(dt)
     rng_tr = rng_stream(seed, index, montecarlo._ROLE_TRAFFIC)
     desired_chan, interferer_chans = realization_channels(config, channel_params, seed, index)
-    comb = select_combiner(desired_chan, scheme, selection, n_paths)
+    beta = select_combiner(desired_chan, scheme, selection, n_paths)
     desired = [composite_waveform(p, desired_chan, desired_chan.gains) for p in pulses]
-    templates = [composite_waveform(p, desired_chan, comb.beta) for p in pulses]
+    templates = [composite_waveform(p, desired_chan, beta) for p in pulses]
 
     bits = rng_tr.integers(0, 2, n_bits) * 2 - 1
     codes = generate_codes(config, n_bits * n_f, rng_tr)
@@ -263,8 +263,8 @@ def _first_path_dropped(config, channel_params, seed, scheme, n_paths):
     and so starts after the frame start."""
     for index in range(200):
         desired, _ = realization_channels(config, channel_params, seed, index)
-        comb = select_combiner(desired, scheme, "selective", n_paths)
-        if comb.beta[0] == 0.0 and desired.delays[comb.beta != 0.0][0] > 1.0:
+        beta = select_combiner(desired, scheme, "selective", n_paths)
+        if beta[0] == 0.0 and desired.delays[beta != 0.0][0] > 1.0:
             return index
     raise AssertionError("no realization drops the first path")
 
@@ -322,14 +322,14 @@ class TestTableEngine:
         # a template that starts after its frame start (first path not
         # combined) must still end inside the frame: bit i's decision sums
         # only template frames of bit i
-        from mpir.channel import CompositeWaveform
+        from mpir.pulses import Waveform
 
         frame = reference_config.frame_samples(DT)
         reach = (reference_config.hop_positions - 1) * reference_config.chip_samples(DT)
         length = frame - reach - 100
-        fits = CompositeWaveform(np.ones(length), DT, 100 * DT)
+        fits = Waveform(np.ones(length), DT, 100 * DT)
         montecarlo._check_frame_separable([fits], reference_config, DT)
-        late = CompositeWaveform(np.ones(length), DT, 101 * DT)
+        late = Waveform(np.ones(length), DT, 101 * DT)
         with pytest.raises(InfeasibleGeometryError):
             montecarlo._check_frame_separable([late], reference_config, DT)
 
@@ -346,7 +346,7 @@ class TestTableEngine:
 class TestPhiAt:
     def test_zero_outside_support(self):
         values = np.array([1.0, -2.0, 3.0])
-        out = montecarlo._phi_at(values, np.array([-5, -1, 0, 1, 2, 3, 40]))
+        out = lookup(values, np.array([-5, -1, 0, 1, 2, 3, 40]))
         assert out.tolist() == [0.0, 0.0, 1.0, -2.0, 3.0, 0.0, 0.0]
 
 

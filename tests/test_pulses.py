@@ -13,8 +13,9 @@ from mpir.errors import (
 )
 from mpir.pulses import (
     CorrelationFunction,
-    Pulse,
+    Waveform,
     cross_correlation,
+    grid_index,
     make_mhp,
     normalize_energy,
     pulse_spectrum,
@@ -98,7 +99,7 @@ class TestMakeMhp:
 
 class TestNormalizeEnergy:
     def test_scales_by_half_for_energy_four(self):
-        raw = Pulse(np.array([1.0, 1.0, 1.0, 1.0]), dt=1.0, t0=0.0)
+        raw = Waveform(np.array([1.0, 1.0, 1.0, 1.0]), dt=1.0, t0=0.0)
         assert raw.energy == pytest.approx(4.0)
         out = normalize_energy(raw)
         assert np.allclose(out.samples, raw.samples / 2.0)
@@ -116,7 +117,7 @@ class TestNormalizeEnergy:
 
     def test_zero_pulse_rejected(self):
         with pytest.raises(DegenerateInputError):
-            normalize_energy(Pulse(np.zeros(8), dt=0.1, t0=0.0))
+            normalize_energy(Waveform(np.zeros(8), dt=0.1, t0=0.0))
 
 
 class TestCrossCorrelation:
@@ -220,3 +221,53 @@ class TestCorrelationFunction:
         c = CorrelationFunction(np.arange(5.0), lag_step=0.5, lag0=-1.0)
         out = c.evaluate(np.array([-1.0, 0.26, 99.0]))
         assert np.allclose(out, [0.0, 3.0, 0.0])
+
+
+class TestWaveform:
+    @pytest.mark.parametrize(
+        "samples, dt",
+        [
+            ([1.0, np.nan, 1.0], DT),
+            ([1.0, np.inf], DT),
+            ([-np.inf, 1.0], DT),
+            ([], DT),
+            ([[1.0, 2.0], [3.0, 4.0]], DT),
+            ([1.0, 2.0], 0.0),
+            ([1.0, 2.0], -DT),
+        ],
+        ids=["nan", "inf", "minus-inf", "empty", "2-d", "zero-dt", "negative-dt"],
+    )
+    def test_rejects_malformed(self, samples, dt):
+        with pytest.raises(InvalidParameterError):
+            Waveform(np.array(samples, dtype=float), dt, 0.0)
+
+    def test_single_sample_accepted(self):
+        w = Waveform(np.array([2.0]), DT, 0.0)
+        assert w.energy == pytest.approx(4.0 * DT)
+        assert w.label == ""
+
+
+class TestGridIndex:
+    def test_scalar_rounds_half_away_from_zero(self):
+        assert grid_index(0.5, 1.0) == 1
+        assert grid_index(-0.5, 1.0) == -1
+        assert grid_index(2.5, 1.0) == 3
+        assert grid_index(-2.5, 1.0) == -3
+        assert grid_index(0.49, 1.0) == 0
+        assert type(grid_index(0.3, 1.0)) is int
+
+    @given(
+        k=st.lists(st.integers(-10_000, 10_000), min_size=1, max_size=30),
+        frac=st.lists(st.sampled_from([0.0, 0.5, -0.5, 0.25, 0.4999, 0.5001]), min_size=1, max_size=30),
+        dt=st.sampled_from([0.02, 2.0**-6, 1.0, 0.1]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_array_equals_scalar(self, k, frac, dt):
+        # times on the grid, between grid points and on the +-(k + 0.5) dt
+        # ties; each time is formed as x = (k + f) * dt, as callers do
+        n = min(len(k), len(frac))
+        x = (np.array(k[:n]) + np.array(frac[:n])) * dt
+        got = grid_index(x, dt)
+        assert got.dtype == np.int64
+        assert got.tolist() == [grid_index(float(v), dt) for v in x]
+        assert grid_index(-x, dt).tolist() == [-i for i in got.tolist()]

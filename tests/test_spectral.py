@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from mpir.errors import ConfigMismatchError, GridMismatchError, InsufficientDataError
-from mpir.channel import CompositeWaveform
 from mpir.montecarlo import rng_stream
-from mpir.pulses import grid_index, make_mhp
+from mpir.pulses import Waveform, grid_index, make_mhp
 from mpir.spectral import (
     SpectralDensity,
     analytic_autocorrelation,
@@ -36,7 +35,7 @@ def aligned_signal(config, pulses, n_symbols, rng):
     codes = generate_codes(config, n_symbols * config.frames_per_symbol, rng)
     block = transmit_block(config, pulses, bits, codes)
     trim = -grid_index(block.t0, DT) + min(grid_index(p.t0, DT) for p in pulses)
-    return CompositeWaveform(block.samples[trim:], DT, 0.0)
+    return Waveform(block.samples[trim:], DT, 0.0)
 
 
 class TestAnalyticAutocorrelation:
@@ -119,7 +118,7 @@ class TestAnalyticPsd:
 
 class TestEmpiricalPsd:
     def test_zero_signal_gives_zero_psd(self):
-        sig = CompositeWaveform(np.zeros(4000), DT, 0.0)
+        sig = Waveform(np.zeros(4000), DT, 0.0)
         sd = empirical_psd(sig, 400, 10)
         assert np.all(sd.psd == 0.0)
 
@@ -146,20 +145,20 @@ class TestEmpiricalPsd:
         for seed in range(20):
             rng = rng_stream(400 + seed, 0)
             sig = aligned_signal(cfg, [mhp4], 120, rng)
-            half = CompositeWaveform(sig.samples[: 60 * seg], DT, 0.0)
+            half = Waveform(sig.samples[: 60 * seg], DT, 0.0)
             short.append(psd_mismatch(ana, empirical_psd(half, seg, 60), band))
             long.append(psd_mismatch(ana, empirical_psd(sig, seg, 120), band))
         assert np.mean(long) <= np.mean(short)
 
     def test_insufficient_data(self):
-        sig = CompositeWaveform(np.zeros(100), DT, 0.0)
+        sig = Waveform(np.zeros(100), DT, 0.0)
         with pytest.raises(InsufficientDataError):
             empirical_psd(sig, 50, 3)
 
     def test_symbol_alignment_checked(self):
         from mpir.errors import InvalidParameterError
 
-        sig = CompositeWaveform(np.zeros(4000), DT, 0.0)
+        sig = Waveform(np.zeros(4000), DT, 0.0)
         with pytest.raises(InvalidParameterError):
             empirical_psd(sig, 300, 2, symbol_samples=400)
 

@@ -96,21 +96,21 @@ class TestSelectCombiner:
         return ChannelRealization(gains, delays)
 
     def test_all_rake_mrc_equals_gains(self):
-        comb = select_combiner(self.chan(), "mrc", "all")
-        assert np.array_equal(comb.beta, self.chan().gains)
+        beta = select_combiner(self.chan(), "mrc", "all")
+        assert np.array_equal(beta, self.chan().gains)
 
     def test_egc_signs(self):
-        comb = select_combiner(self.chan(), "egc", "all")
-        assert np.array_equal(comb.beta, np.sign(self.chan().gains))
+        beta = select_combiner(self.chan(), "egc", "all")
+        assert np.array_equal(beta, np.sign(self.chan().gains))
 
     def test_selective_one_keeps_largest(self):
-        comb = select_combiner(self.chan(), "mrc", "selective", 1)
-        assert np.count_nonzero(comb.beta) == 1
-        assert comb.beta[1] == -1.2
+        beta = select_combiner(self.chan(), "mrc", "selective", 1)
+        assert np.count_nonzero(beta) == 1
+        assert beta[1] == -1.2
 
     def test_partial_keeps_first(self):
-        comb = select_combiner(self.chan(), "mrc", "partial", 2)
-        assert np.array_equal(comb.beta, [0.5, -1.2, 0.0, 0.0])
+        beta = select_combiner(self.chan(), "mrc", "partial", 2)
+        assert np.array_equal(beta, [0.5, -1.2, 0.0, 0.0])
 
     def test_selective_captures_at_least_partial(self, reference_channel, reference_config):
         rng = rng_stream(6, 0)
@@ -118,7 +118,7 @@ class TestSelectCombiner:
             chan = sample_channel(reference_channel, reference_config, rng)
             part = select_combiner(chan, "mrc", "partial", 5)
             sel = select_combiner(chan, "mrc", "selective", 5)
-            assert np.dot(sel.beta, chan.gains) >= np.dot(part.beta, chan.gains) - 1e-12
+            assert np.dot(sel, chan.gains) >= np.dot(part, chan.gains) - 1e-12
 
     def test_m_out_of_range(self):
         with pytest.raises(InvalidParameterError):
@@ -231,9 +231,9 @@ class TestRakeTemplateAndDecision:
 
         params = ChannelParams(n_paths=6, decay_rate=0.6, lognorm_var=0.8, mean_arrival=2.0)
         chan = sample_channel(params, cfg, params_rng)
-        comb = select_combiner(chan, "mrc", "all")
+        beta = select_combiner(chan, "mrc", "all")
         u = [composite_waveform(p, chan, chan.gains) for p in pulses]
-        v = [composite_waveform(p, chan, comb.beta) for p in pulses]
+        v = [composite_waveform(p, chan, beta) for p in pulses]
         rng = rng_stream(seed, 1)
         bits = rng.integers(0, 2, n_bits) * 2 - 1
         codes = generate_codes(cfg, n_bits * 2, rng)
@@ -308,14 +308,14 @@ class TestRakeTemplateAndDecision:
     def test_linear_in_received_signal(self, seed, shift, alpha, beta):
         # Y(alpha*r1 + beta*r2) = alpha*Y(r1) + beta*Y(r2) for one template,
         # whatever the template's alignment with the received window
-        from mpir.channel import CompositeWaveform
+        from mpir.pulses import Waveform
 
         rng = np.random.default_rng(seed)
         r1, r2 = rng.standard_normal((2, 100))
-        tmpl = CompositeWaveform(rng.standard_normal(30), DT, shift * DT)
-        combined = decision_statistic(CompositeWaveform(alpha * r1 + beta * r2, DT, 0.0), tmpl)
-        parts = (alpha * decision_statistic(CompositeWaveform(r1, DT, 0.0), tmpl)
-                 + beta * decision_statistic(CompositeWaveform(r2, DT, 0.0), tmpl))
+        tmpl = Waveform(rng.standard_normal(30), DT, shift * DT)
+        combined = decision_statistic(Waveform(alpha * r1 + beta * r2, DT, 0.0), tmpl)
+        parts = (alpha * decision_statistic(Waveform(r1, DT, 0.0), tmpl)
+                 + beta * decision_statistic(Waveform(r2, DT, 0.0), tmpl))
         scale = (abs(alpha) + abs(beta)) * DT * np.linalg.norm(tmpl.samples) * 20
         assert combined == pytest.approx(parts, rel=1e-9, abs=1e-12 * scale)
 
@@ -324,11 +324,11 @@ class TestRakeTemplateAndDecision:
         from mpir.pulses import make_mhp
 
         b = make_mhp(4, 0.05, 0.01)
-        from mpir.channel import CompositeWaveform
+        from mpir.pulses import Waveform
 
         with pytest.raises(GridMismatchError):
             decision_statistic(
-                CompositeWaveform(a.samples, a.dt, 0.0), CompositeWaveform(b.samples, b.dt, 0.0)
+                Waveform(a.samples, a.dt, 0.0), Waveform(b.samples, b.dt, 0.0)
             )
 
     def test_polarity_flip_of_interferer_negates_mai(self):
