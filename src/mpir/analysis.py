@@ -210,7 +210,10 @@ def conditional_bep_terms(
     """
     beta = select_combiner(desired_chan, scheme, selection, n_paths)
     desired = [composite_waveform(p, desired_chan, desired_chan.gains) for p in pulses]
-    templates = [composite_waveform(p, desired_chan, beta) for p in pulses]
+    if np.array_equal(beta, desired_chan.gains):
+        templates = desired
+    else:
+        templates = [composite_waveform(p, desired_chan, beta) for p in pulses]
     interferer_sets = [
         [composite_waveform(p, ch, ch.gains) for p in pulses] for ch in interferer_chans
     ]

@@ -220,7 +220,10 @@ def _realization_decisions(
 
     beta = select_combiner(desired_chan, scheme, selection, n_paths)
     desired = [composite_waveform(p, desired_chan, desired_chan.gains) for p in pulses]
-    templates = [composite_waveform(p, desired_chan, beta) for p in pulses]
+    if np.array_equal(beta, desired_chan.gains):
+        templates = desired
+    else:
+        templates = [composite_waveform(p, desired_chan, beta) for p in pulses]
     _check_frame_separable(desired, config, dt)
     _check_frame_separable(templates, config, dt)
 

@@ -21,7 +21,7 @@ from mpir.channel import ChannelParams, ChannelRealization, composite_waveform, 
 from mpir.errors import DegenerateInputError, InfeasibleGeometryError
 from mpir.montecarlo import rng_stream
 from mpir.pulses import cross_correlation, grid_index, make_mhp
-from mpir.transceiver import SystemConfig, select_combiner
+from mpir.transceiver import SystemConfig, decision_statistic, select_combiner
 
 DT = 0.02
 
@@ -381,6 +381,25 @@ class TestBep:
         assert multi.pe == pytest.approx(single.pe, rel=1e-12)
         assert multi.signal_term == pytest.approx(single.signal_term, rel=1e-12)
         assert multi.mai_term == pytest.approx(single.mai_term, rel=1e-12)
+
+
+class TestConditionalBepTerms:
+    @pytest.mark.parametrize("scheme,selection,n_paths", [
+        ("mrc", "all", None), ("egc", "all", None), ("mrc", "selective", 3), ("egc", "partial", 3),
+    ])
+    def test_terms_use_the_combiner_templates(self, scheme, selection, n_paths):
+        # under mrc over all paths the desired composites serve as the
+        # templates; every other combiner builds its own
+        cfg, pulses, desired, interferers = _reference_instance(42, n_interferers=2)
+        beta = select_combiner(desired, scheme, selection, n_paths)
+        u = [composite_waveform(p, desired, desired.gains) for p in pulses]
+        v = [composite_waveform(p, desired, beta) for p in pulses]
+        sets = [[composite_waveform(p, ch, ch.gains) for p in pulses] for ch in interferers]
+        sig, mai, energy = conditional_bep_terms(cfg, pulses, desired, interferers,
+                                                 scheme, selection, n_paths)
+        assert sig == sum(decision_statistic(a, b) for a, b in zip(u, v)) / math.sqrt(2)
+        assert np.array_equal(mai.per_frame, mai_variance_multi(sets, v, cfg).per_frame)
+        assert energy == sum(w.energy for w in v)
 
 
 class TestBepAveraged:
