@@ -329,8 +329,10 @@ def cmd_bep(cfg: ExperimentConfig, out_dir: Path, seed: int) -> Path:
 
 
 def cmd_sim(cfg: ExperimentConfig, out_dir: Path, seed: int, threads: int = 1) -> Path:
-    """Waveform-level simulated BER across the Eb/N0 sweep, simulated as
-    one fused sweep; the per-point progress lines follow once it is done."""
+    """Simulated BER across the Eb/N0 sweep, simulated as one fused sweep:
+    the counted estimate with its Wilson half-width and the quasi-analytic
+    one with its standard error; the per-point progress lines follow once
+    it is done."""
     if not cfg.sweep_ebn0_db:
         raise ConfigError("sweep_ebn0_db is empty: nothing to simulate")
     pulses = cfg.make_pulses()
@@ -350,12 +352,13 @@ def cmd_sim(cfg: ExperimentConfig, out_dir: Path, seed: int, threads: int = 1) -
             f"{est.realizations} realizations{', capped' if est.capped else ''})",
             file=sys.stderr,
         )
-        rows.append((float(db), float(est.ber), float(est.ci95), est.bits, est.errors))
+        rows.append((float(db), float(est.ber), float(est.ci95), est.bits, est.errors,
+                     float(est.ber_qa), float(est.ber_qa_stderr)))
     out = out_dir / "ber.csv"
     header = _header(cfg, seed, "sim", {
         "capped_points_ebn0_db": json.dumps(capped_points),
     })
-    _write_rows(out, header, "ebn0_db,ber,ci95_halfwidth,bits,errors", rows)
+    _write_rows(out, header, "ebn0_db,ber,ci95_halfwidth,bits,errors,ber_qa,ber_qa_stderr", rows)
     return out
 
 

@@ -13,19 +13,29 @@ signals.  Frames are separable and every offset lies on the sample grid,
 so the noise-free correlator output of each bit is an exact sum of
 lookups in the cross-correlations phi_{u_r v_s} of the users' channel
 composites with the RAKE template composites (the indexing of
-estimate_mai_variance).  The noise is still one standard-normal draw per
-sample of the bit windows, from the realization's noise stream, and each
-bit's unit-noise projection is that draw correlated with the bit's
-template frames.  The results equal those of the sample-level waveform
-path (transceiver.received_block, compose_received, rake_template and
-decision_statistic) up to the order of summation.
+estimate_mai_variance).  These clean outputs equal those of the
+sample-level waveform path (transceiver.received_block,
+compose_received, rake_template and decision_statistic) up to the order
+of summation.
+
+The noise is not sampled.  Under frame containment each template frame's
+support lies inside its own frame, so the bits' templates project
+disjoint sample ranges of the white noise, and each bit's unit-noise
+projection is an independent N(0, E_N) with
+E_N = (N_f / N_p) * sum_j E(v_j), the analysis.noise_variance closed form
+at unit amplitude.  The engine draws that one normal per bit from the
+realization's noise stream, so its N is equal in law to the sample-level
+projection, not equal to it sample by sample.
 
 An Eb/N0 sweep is simulated once, not once per point.  Noise enters the
 correlator output linearly and its stream does not depend on the noise
 amplitude, so a realization reduces to per-bit clean decisions D and
 unit-noise projections N, and the decision at amplitude sigma is
 D + sigma * N.  Every sweep point therefore sees the same channels,
-traffic and noise draw, scaled by sigma (common random numbers).
+traffic and noise draw, scaled by sigma (common random numbers).  Given
+D, bit i errs with probability exactly Q(b_i D_i / (sigma sqrt(E_N))); the
+mean of that over bits is the quasi-analytic BER estimate reported next
+to the counted one.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ from functools import partial
 
 import numpy as np
 
+from .analysis import qfunc
 from .channel import ChannelParams, ChannelRealization, composite_waveform, draw_channels
 from .errors import InvalidParameterError
 from .pulses import cross_correlation, grid_index, lookup
@@ -109,7 +120,9 @@ class TrialPlan:
 
 @dataclass(frozen=True)
 class BerEstimate:
-    """Accumulated error counts with a Wilson 95% half-width."""
+    """Accumulated error counts with a Wilson 95% half-width, and the
+    quasi-analytic estimate ber_qa over the same realizations with its
+    standard error (nan from a single realization)."""
 
     errors: int
     bits: int
@@ -117,6 +130,8 @@ class BerEstimate:
     ci95: float
     realizations: int = 0
     capped: bool = False
+    ber_qa: float = math.nan
+    ber_qa_stderr: float = math.nan
 
     def ci_bounds(self) -> tuple[float, float]:
         return wilson_bounds(self.errors, self.bits)
@@ -196,21 +211,23 @@ def _realization_decisions(
     selection: str,
     n_paths: int | None,
     draw_noise: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(bits, D, N) of realization ``index``: the transmitted bits, the
-    per-bit clean correlator outputs and the unit-noise projections.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(bits, D, N, E_N) of realization ``index``: the transmitted bits,
+    the per-bit clean correlator outputs, the unit-noise projections and
+    their variance.
 
     D is the correlation of the noise-free received signal with each bit's
     RAKE template, summed from cross-correlation lookups frame by frame
-    (_add_user); no waveform longer than one composite is built.  N is
-    the correlation, scaled by sqrt(dt), of each bit's template with one
-    standard-normal draw z of n_bits symbols of samples from the noise
-    stream; it is zero, and the stream is not opened, when ``draw_noise``
-    is false.
+    (_add_user); no waveform longer than one composite is built.
+    E_N = (N_f / N_p) * sum_j E(v_j) is the energy of one bit's template.
+    N is sqrt(E_N) times one standard normal per bit from the noise
+    stream: equal in law to the correlation, scaled by sqrt(dt), of each
+    bit's template with a standard-normal draw per sample, because
+    frame containment keeps the bits' template supports disjoint.  N is
+    zero, and the stream is not opened, when ``draw_noise`` is false.
     """
     dt = pulses[0].dt
     n_f = config.frames_per_symbol
-    n_p = config.pulse_types
     sym = config.symbol_samples(dt)
     rng_tr = rng_stream(master_seed, index, _ROLE_TRAFFIC)
 
@@ -244,21 +261,13 @@ def _realization_decisions(
                   codes_k.th, offset_idx - sym, codes.th)
     clean = (acc * codes.polarity).reshape(n_bits, n_f).sum(axis=1)
 
+    noise_energy = n_f / config.pulse_types * sum(v.energy for v in templates)
     unit_noise = np.zeros(n_bits)
     if draw_noise:
-        z = rng_stream(master_seed, index, _ROLE_NOISE).standard_normal(n_bits * sym)
-        # z[0] is the sample at frame 0's start, or at the earliest
-        # template sample if that comes first
-        t0_idx = [grid_index(v.t0, dt) for v in templates]
-        starts = (np.arange(n_bits * n_f) * config.frame_samples(dt)
-                  + codes.th * config.chip_samples(dt)
-                  + np.tile(t0_idx, n_bits * n_f // n_p) - min(0, *t0_idx))
-        taps = [v.samples for v in templates]
-        proj = np.array([
-            z[k : k + len(taps[f % n_p])] @ taps[f % n_p] for f, k in enumerate(starts.tolist())
-        ])
-        unit_noise = math.sqrt(dt) * (proj * codes.polarity).reshape(n_bits, n_f).sum(axis=1)
-    return bits, clean, unit_noise
+        unit_noise = math.sqrt(noise_energy) * rng_stream(
+            master_seed, index, _ROLE_NOISE
+        ).standard_normal(n_bits)
+    return bits, clean, unit_noise, noise_energy
 
 
 def _sweep_errors(
@@ -272,23 +281,33 @@ def _sweep_errors(
     selection: str,
     n_paths: int | None,
     index: int,
-) -> tuple[int, ...]:
-    """Bit errors of realization ``index`` at each noise amplitude.
+) -> tuple[tuple[int, float], ...]:
+    """(bit errors, mean conditional error probability) of realization
+    ``index`` at each noise amplitude.
 
-    The realization is reduced once to per-bit clean decisions D, summed
-    from the cross-correlation tables of the channel composites, and
-    unit-noise projections N of the realization's noise-stream draw (not
-    drawn when every sigma is 0).  Bit i is in error at noise amplitude
-    sigma when (D_i + sigma * N_i) * b_i <= 0.  D and N equal the
-    sample-by-sample correlations of the assembled waveforms up to the
-    order of summation, so the error counts are those of the waveform
-    engine.
+    Bit i is in error at noise amplitude sigma when
+    (D_i + sigma * N_i) * b_i <= 0, with D and N from
+    _realization_decisions (N is not drawn when every sigma is 0).  D
+    equals the sample-level correlation up to the order of summation and
+    N equals it in law, so the counts are distributed as those of the
+    waveform path.  The second entry is the mean over bits of
+    Q(b_i D_i / (sigma sqrt(E_N))), the error probability given D; at
+    sigma 0 it is the error fraction.
     """
-    bits, clean, unit_noise = _realization_decisions(
+    bits, clean, unit_noise, noise_energy = _realization_decisions(
         config, pulses, channel_params, n_bits, master_seed, index, scheme, selection, n_paths,
         draw_noise=any(s > 0 for s in noise_sigmas),
     )
-    return tuple(int(np.count_nonzero((clean + s * unit_noise) * bits <= 0)) for s in noise_sigmas)
+    margin = clean * bits
+    out = []
+    for s in noise_sigmas:
+        errors = int(np.count_nonzero((clean + s * unit_noise) * bits <= 0))
+        if s > 0:
+            qa = float(np.mean(qfunc(margin / (s * math.sqrt(noise_energy)))))
+        else:
+            qa = errors / n_bits
+        out.append((errors, qa))
+    return tuple(out)
 
 
 def run_realization(
@@ -310,7 +329,7 @@ def run_realization(
     realization's own streams, so a conditional BER can be refined with a
     larger n_bits on the same channel draw.
     """
-    (errors,) = _sweep_errors(
+    ((errors, _),) = _sweep_errors(
         config, pulses, channel_params, n_bits, master_seed, (config.noise_sigma,),
         scheme, selection, n_paths, index,
     )
@@ -350,12 +369,15 @@ def run_ber_sweep(
 
     Per realization: draw desired and interferer channels, offsets, codes
     and bits; sum each bit's noise-free correlator output D from the
-    composites' cross-correlation tables and its unit-noise projection N
-    from one standard-normal draw of the noise stream; detect the bit by
-    the sign of D + sigma * N for every sigma in ``noise_sigmas``
-    (config.noise_sigma is not used).  Every point sees the same channels,
-    traffic and noise draw, scaled by its sigma, and the error counts are
-    those of the sample-level waveform path on the same draws.
+    composites' cross-correlation tables, and draw its unit-noise
+    projection N as one N(0, E_N) normal from the noise stream, equal in
+    law to the sample-level projection of white noise on the bit's
+    template; detect the bit by the sign of D + sigma * N for every sigma
+    in ``noise_sigmas`` (config.noise_sigma is not used).  Every point sees
+    the same channels, traffic and noise draw, scaled by its sigma.  Each
+    estimate also carries ber_qa, the mean over the realizations its stop
+    rule used of their mean conditional error probability given D, with
+    the standard error of that mean.
 
     Realizations run in waves of max(1, threads), in process for one
     thread and on a process pool otherwise.  Each point applies the stop
@@ -375,10 +397,10 @@ def run_ber_sweep(
     )
 
     def point_scan(k: int, rows) -> tuple[int, int, int]:
-        return _scan_stop(((row[k], n_bits) for row in rows), plan)
+        return _scan_stop(((row[k][0], n_bits) for row in rows), plan)
 
     wave = max(1, threads)
-    collected: list[tuple[int, ...]] = []
+    collected: list[tuple[tuple[int, float], ...]] = []
     with ProcessPoolExecutor(max_workers=wave) if wave > 1 else nullcontext() as pool:
         run_wave = pool.map if pool else map
         for start in range(0, plan.n_realizations, wave):
@@ -388,6 +410,7 @@ def run_ber_sweep(
     estimates = []
     for k in range(len(sigmas)):
         errors, bits, used = point_scan(k, collected)
+        qa = np.array([row[k][1] for row in collected[:used]])
         estimates.append(BerEstimate(
             errors=errors,
             bits=bits,
@@ -395,6 +418,8 @@ def run_ber_sweep(
             ci95=wilson_halfwidth(errors, bits),
             realizations=used,
             capped=errors < plan.min_errors,
+            ber_qa=float(qa.mean()),
+            ber_qa_stderr=float(qa.std(ddof=1)) / math.sqrt(used) if used > 1 else math.nan,
         ))
     return estimates
 

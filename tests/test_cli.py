@@ -169,11 +169,13 @@ class TestCmdSim:
             ln for ln in out1.read_text().splitlines()
             if ln and not ln.startswith("#")
         ]
-        assert rows[0] == "ebn0_db,ber,ci95_halfwidth,bits,errors"
+        assert rows[0] == "ebn0_db,ber,ci95_halfwidth,bits,errors,ber_qa,ber_qa_stderr"
         assert len(rows) == 1 + len(cfg.sweep_ebn0_db)
-        db, ber, ci, bits, errors = rows[1].split(",")
+        db, ber, ci, bits, errors, ber_qa, ber_qa_stderr = rows[1].split(",")
         assert int(bits) > 0
         assert 0 <= float(ber) <= 1
+        assert 0 <= float(ber_qa) <= 1
+        assert float(ber_qa_stderr) >= 0  # min_realizations 2: never nan
 
     def test_different_seed_changes_output(self, tmp_path):
         cfg = load_config(write_config(tmp_path, small_raw()))

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from mpir import montecarlo
 from mpir.analysis import qfunc
 from mpir.channel import ChannelParams, composite_waveform
+from mpir.cli import ebn0_db_to_noise_sigma
 from mpir.errors import InfeasibleGeometryError, InvalidParameterError
 from mpir.montecarlo import (
     BerEstimate,
@@ -217,13 +219,16 @@ def _on_window(wave, start, n):
 
 def reference_decisions(config, pulses, channel_params, n_bits, seed, index,
                         scheme, selection, n_paths):
-    """(bits, D, N) of one realization from the sample-level waveform path.
+    """(bits, D, N, E) of one realization from the sample-level waveform path.
 
     Every block is assembled sample by sample (received_block, _assemble),
     the users are added on the receiver's clock (compose_received) and
     each bit's decision is the dot product with the template over its
     symbol window, starting at the template block's first sample.  The
-    draws follow the table engine's order.
+    bits, codes and channels follow the table engine's draws.  N projects
+    one standard-normal draw per window sample, the noise stream's first
+    n_bits symbols of samples, onto each bit's template; E is the
+    template energy dt * sum(template**2) of each bit's window.
     """
     dt = pulses[0].dt
     n_f = config.frames_per_symbol
@@ -255,7 +260,8 @@ def reference_decisions(config, pulses, channel_params, n_bits, seed, index,
     clean = dt * (_on_window(received, start, n_win) * template).reshape(n_bits, sym).sum(axis=1)
     z = rng_stream(seed, index, montecarlo._ROLE_NOISE).standard_normal(n_win)
     unit_noise = math.sqrt(dt) * (z * template).reshape(n_bits, sym).sum(axis=1)
-    return bits, clean, unit_noise
+    energy = dt * (template**2).reshape(n_bits, sym).sum(axis=1)
+    return bits, clean, unit_noise, energy
 
 
 def _first_path_dropped(config, channel_params, seed, scheme, n_paths):
@@ -301,22 +307,41 @@ class TestTableEngine:
             indices.append(_first_path_dropped(config, self.CHANNEL, seed, scheme, n_paths))
         for index in indices:
             args = (config, pulses, self.CHANNEL, n_bits, seed, index, scheme, selection, n_paths)
-            bits, clean, unit_noise = montecarlo._realization_decisions(*args)
-            ref_bits, ref_clean, ref_noise = reference_decisions(*args)
+            bits, clean, unit_noise, noise_energy = montecarlo._realization_decisions(*args)
+            ref_bits, ref_clean, _, ref_energy = reference_decisions(*args)
             assert np.array_equal(bits, ref_bits)
             np.testing.assert_allclose(clean, ref_clean, rtol=0,
                                        atol=1e-9 * np.max(np.abs(ref_clean)))
-            np.testing.assert_allclose(unit_noise, ref_noise, rtol=0,
-                                       atol=1e-9 * np.max(np.abs(ref_noise)))
-            ref_errors = tuple(
-                int(np.count_nonzero((ref_clean + s * ref_noise) * ref_bits <= 0))
-                for s in self.SIGMAS
+            # every bit's window of the sample-level template holds the
+            # energy E_N that scales the engine's noise draw
+            np.testing.assert_allclose(ref_energy, noise_energy, rtol=1e-12, atol=0)
+            counts = tuple(
+                int(np.count_nonzero((clean + s * unit_noise) * bits <= 0)) for s in self.SIGMAS
             )
-            errors = montecarlo._sweep_errors(
+            swept = montecarlo._sweep_errors(
                 config, pulses, self.CHANNEL, n_bits, seed, self.SIGMAS,
                 scheme, selection, n_paths, index,
             )
-            assert errors == ref_errors
+            assert tuple(errors for errors, _ in swept) == counts
+
+    def test_noise_projection_law_matches_waveform_path(self, mhp4, mhp5):
+        # the engine draws each bit's N from N(0, E_N); the sample-level
+        # projections of per-sample white noise onto the bit templates
+        # must follow that law (2,000 bits over 8 channel draws)
+        config = SystemConfig(
+            n_users=1, frames_per_symbol=2, chips_per_frame=40, hop_positions=3,
+            pulse_types=2, chip_time=1.0, interferer_power=5.0,
+        )
+        drawn, projected = [], []
+        for index in range(8):
+            args = (config, [mhp4, mhp5], self.CHANNEL, 250, 13, index, "mrc", "all", None)
+            _, _, unit_noise, noise_energy = montecarlo._realization_decisions(*args)
+            _, _, ref_noise, ref_energy = reference_decisions(*args)
+            drawn.append(unit_noise / math.sqrt(noise_energy))
+            projected.append(ref_noise / np.sqrt(ref_energy))
+        drawn, projected = np.concatenate(drawn), np.concatenate(projected)
+        assert len(projected) == 2000
+        assert ks_2samp(drawn, projected).pvalue > 0.01
 
     def test_template_leaving_its_bit_window_rejected(self, reference_config):
         # a template that starts after its frame start (first path not
@@ -337,10 +362,62 @@ class TestTableEngine:
                                                       reference_channel):
         cfg = replace(reference_config, pulse_types=1, n_users=2)
         args = (cfg, [mhp4], reference_channel, 8, 3, 0, "mrc", "all", None)
-        bits, clean, unit_noise = montecarlo._realization_decisions(*args, draw_noise=False)
-        _, clean_drawn, _ = montecarlo._realization_decisions(*args)
+        bits, clean, unit_noise, noise_energy = montecarlo._realization_decisions(
+            *args, draw_noise=False
+        )
+        _, clean_drawn, _, energy_drawn = montecarlo._realization_decisions(*args)
         assert not unit_noise.any()
         assert np.array_equal(clean, clean_drawn)
+        assert noise_energy == energy_drawn > 0
+
+
+class TestQuasiAnalytic:
+    DB = (0.0, 2.0, 4.0, 6.0, 10.0)
+
+    def test_awgn_equals_q_function(self, mhp4):
+        # one user, one path: b_i D_i is the same for every bit, so the
+        # quasi-analytic estimate is Q(sqrt(2 Eb/N0)) with no spread
+        plan = TrialPlan(master_seed=21, n_realizations=3, bits_per_realization=200,
+                         min_errors=10**9)
+        sigmas = [ebn0_db_to_noise_sigma(db) for db in self.DB]
+        for db, est in zip(self.DB, run_ber_sweep(awgn_config(), [mhp4], awgn_channel(),
+                                                  plan, sigmas)):
+            want = qfunc(math.sqrt(2.0 * 10 ** (db / 10)))
+            assert est.ber_qa == pytest.approx(want, rel=1e-12, abs=0)
+            assert est.ber_qa_stderr == pytest.approx(0.0, abs=1e-12 * want)
+
+    def test_noise_free_point_counts_errors(self, mhp4, mhp5, reference_config,
+                                            reference_channel):
+        # with no noise a bit errs exactly when b_i D_i <= 0
+        plan = TrialPlan(master_seed=22, n_realizations=4, bits_per_realization=100,
+                         min_errors=10**9)
+        (est,) = run_ber_sweep(reference_config, [mhp4, mhp5], reference_channel, plan, [0.0])
+        assert est.errors > 0
+        assert est.ber_qa == pytest.approx(est.ber, rel=1e-15)
+
+    def test_single_realization_has_no_stderr(self, mhp4):
+        plan = TrialPlan(master_seed=23, n_realizations=1, bits_per_realization=50)
+        (est,) = run_ber_sweep(awgn_config(), [mhp4], awgn_channel(), plan, [1.0])
+        assert est.realizations == 1
+        assert math.isnan(est.ber_qa_stderr)
+        assert est.ber_qa == pytest.approx(qfunc(1.0), rel=1e-12)
+
+    def test_inside_counted_wilson_interval(self, mhp4, mhp5, reference_config,
+                                            reference_channel):
+        # the 20-user double-pulse system over the A5/A6 sweep: given the
+        # channels and traffic, the counted errors scatter around the
+        # quasi-analytic estimate by the noise alone
+        plan = TrialPlan(master_seed=24, n_realizations=12, bits_per_realization=400,
+                         min_errors=10**9)
+        db_sweep = (0.0, 4.0, 8.0, 12.0, 16.0, 24.0)
+        estimates = run_ber_sweep(
+            reference_config, [mhp4, mhp5], reference_channel, plan,
+            [ebn0_db_to_noise_sigma(db) for db in db_sweep],
+        )
+        for db, est in zip(db_sweep, estimates):
+            lo, hi = est.ci_bounds()
+            assert lo <= est.ber_qa <= hi, f"{db} dB: {est.ber_qa:.5f} outside [{lo:.5f}, {hi:.5f}]"
+            assert est.ber_qa_stderr > 0
 
 
 class TestPhiAt:
