@@ -30,7 +30,7 @@ import numpy as np
 from .channel import ChannelParams, composite_waveform, draw_channels
 from .errors import ConfigMismatchError, DegenerateInputError, InvalidParameterError
 from .pulses import _common_dt
-from .transceiver import SystemConfig, _check_frame_separable, decision_statistic, select_combiner
+from .transceiver import SystemConfig, _check_frame_separable, decision_statistic, rake_composites
 
 _SQRT_2 = math.sqrt(2.0)
 _erfc = np.vectorize(math.erfc, otypes=[float])
@@ -208,12 +208,7 @@ def conditional_bep_terms(
     The noise term for noise amplitude s is s**2 times the returned
     template energy, so a noise sweep can reuse these terms.
     """
-    beta = select_combiner(desired_chan, scheme, selection, n_paths)
-    desired = [composite_waveform(p, desired_chan, desired_chan.gains) for p in pulses]
-    if np.array_equal(beta, desired_chan.gains):
-        templates = desired
-    else:
-        templates = [composite_waveform(p, desired_chan, beta) for p in pulses]
+    desired, templates = rake_composites(pulses, desired_chan, scheme, selection, n_paths)
     interferer_sets = [
         [composite_waveform(p, ch, ch.gains) for p in pulses] for ch in interferer_chans
     ]

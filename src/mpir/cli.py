@@ -51,7 +51,7 @@ from .transceiver import (
     SystemConfig,
     check_pulse_fits,
     generate_codes,
-    select_combiner,
+    rake_composites,
     transmit_block,
 )
 
@@ -399,8 +399,8 @@ def _validate_checks(cfg: ExperimentConfig, seed: int, noise_std_scale: float = 
     # 4. output-noise variance convention
     noisy = replace(config, noise_sigma=1.0)
     rng = rng_stream(seed, 14)
-    beta = select_combiner(desired, cfg.scheme, cfg.selection, cfg.combiner_paths)
-    templates = [composite_waveform(p, desired, beta) for p in pulses]
+    received, templates = rake_composites(pulses, desired, cfg.scheme, cfg.selection,
+                                          cfg.combiner_paths)
     closed_n = analysis.noise_variance(templates, noisy)
     est_n = montecarlo.estimate_noise_variance(noisy, templates, 20_000, rng, noise_std_scale)
     rel_n = abs(est_n - closed_n) / closed_n
@@ -410,7 +410,7 @@ def _validate_checks(cfg: ExperimentConfig, seed: int, noise_std_scale: float = 
 
     # 5. single-pulse reduction identity
     single = replace(config, pulse_types=1, noise_sigma=0.3)
-    u0 = composite_waveform(pulses[0], desired, desired.gains)
+    u0 = received[0]
     v0 = templates[0]
     u_int = composite_waveform(pulses[0], interferer, interferer.gains)
     multi = analysis.bep_multi(

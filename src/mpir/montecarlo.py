@@ -56,6 +56,7 @@ from .transceiver import (
     SystemConfig,
     _check_frame_separable,
     generate_codes,
+    rake_composites,
     rake_template,
     select_combiner,
 )
@@ -235,12 +236,7 @@ def _realization_decisions(
         config, channel_params, master_seed, index
     )
 
-    beta = select_combiner(desired_chan, scheme, selection, n_paths)
-    desired = [composite_waveform(p, desired_chan, desired_chan.gains) for p in pulses]
-    if np.array_equal(beta, desired_chan.gains):
-        templates = desired
-    else:
-        templates = [composite_waveform(p, desired_chan, beta) for p in pulses]
+    desired, templates = rake_composites(pulses, desired_chan, scheme, selection, n_paths)
     _check_frame_separable(desired, config, dt)
     _check_frame_separable(templates, config, dt)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import ChannelRealization, composite_waveform
 from .errors import ConfigMismatchError, InfeasibleGeometryError, InvalidParameterError
 from .pulses import GRID_TOL, Waveform, _common_dt, grid_count, grid_index
 
@@ -182,6 +182,26 @@ def select_combiner(
         mask[keep] = True
         beta[~mask] = 0.0
     return beta
+
+
+def rake_composites(
+    pulses,
+    chan: ChannelRealization,
+    scheme: str = "mrc",
+    selection: str = "all",
+    n_paths: int | None = None,
+) -> tuple[list[Waveform], list[Waveform]]:
+    """(desired, templates): each pulse's received composite over ``chan``
+    and its RAKE template composite under the select_combiner weights.
+
+    Under mrc over all paths the weights are the channel gains, and one
+    list serves as both.
+    """
+    beta = select_combiner(chan, scheme, selection, n_paths)
+    desired = [composite_waveform(p, chan, chan.gains) for p in pulses]
+    if np.array_equal(beta, chan.gains):
+        return desired, desired
+    return desired, [composite_waveform(p, chan, beta) for p in pulses]
 
 
 def _assemble(
