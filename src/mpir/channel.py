@@ -63,14 +63,16 @@ class ChannelParams:
         return (1.0 - math.exp(-lam)) / (1.0 - math.exp(-lam * n))
 
 
-def mean_log_gain(params: ChannelParams, path: int) -> float:
-    """Mean of ln|gain| for the given path index.
+def mean_log_gain(params: ChannelParams, path: int | np.ndarray) -> float | np.ndarray:
+    """Mean of ln|gain| for the given path index, or for each of an array
+    of path indices.
 
     mu_l = 0.5 * [ln(first_tap_power) - decay_rate * l - 2 * lognorm_var],
     chosen so that the mean energies e^(2 mu_l + 2 var) decay geometrically
     and sum to one over the taps.
     """
-    if not 0 <= path < params.n_paths:
+    index = np.asarray(path)
+    if index.min() < 0 or index.max() >= params.n_paths:
         raise InvalidParameterError(f"path index {path} outside [0, {params.n_paths})")
     return 0.5 * (
         math.log(params.first_tap_power)
@@ -120,10 +122,7 @@ def sample_channel(params: ChannelParams, config, rng: np.random.Generator) -> C
     """
     n = params.n_paths
     sigma = math.sqrt(params.lognorm_var)
-    # mean_log_gain for every path index, evaluated with the same float operations
-    mu = 0.5 * (
-        math.log(params.first_tap_power) - params.decay_rate * np.arange(n) - 2.0 * params.lognorm_var
-    )
+    mu = mean_log_gain(params, np.arange(n))
     bound = config.frame_time - config.hop_positions * config.chip_time
     scale = math.sqrt(params.power_scale)
 

@@ -13,10 +13,9 @@ signals.  Frames are separable and every offset lies on the sample grid,
 so the noise-free correlator output of each bit is an exact sum of
 lookups in the cross-correlations phi_{u_r v_s} of the users' channel
 composites with the RAKE template composites (the indexing of
-estimate_mai_variance).  These clean outputs equal those of the
-sample-level waveform path (transceiver.received_block,
-compose_received, rake_template and decision_statistic) up to the order
-of summation.
+estimate_mai_variance).  These clean outputs equal, up to the order of
+summation, the correlation of each bit's rake_template with the sampled
+sum of the users' blocks, the sample-level reference the tests keep.
 
 The noise is not sampled.  Under frame containment each template frame's
 support lies inside its own frame, so the bits' templates project
@@ -211,7 +210,6 @@ def _realization_decisions(
     scheme: str,
     selection: str,
     n_paths: int | None,
-    draw_noise: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(bits, D, N, E_N) of realization ``index``: the transmitted bits,
     the per-bit clean correlator outputs, the unit-noise projections and
@@ -224,8 +222,7 @@ def _realization_decisions(
     N is sqrt(E_N) times one standard normal per bit from the noise
     stream: equal in law to the correlation, scaled by sqrt(dt), of each
     bit's template with a standard-normal draw per sample, because
-    frame containment keeps the bits' template supports disjoint.  N is
-    zero, and the stream is not opened, when ``draw_noise`` is false.
+    frame containment keeps the bits' template supports disjoint.
     """
     dt = pulses[0].dt
     n_f = config.frames_per_symbol
@@ -258,11 +255,7 @@ def _realization_decisions(
     clean = (acc * codes.polarity).reshape(n_bits, n_f).sum(axis=1)
 
     noise_energy = n_f / config.pulse_types * sum(v.energy for v in templates)
-    unit_noise = np.zeros(n_bits)
-    if draw_noise:
-        unit_noise = math.sqrt(noise_energy) * rng_stream(
-            master_seed, index, _ROLE_NOISE
-        ).standard_normal(n_bits)
+    unit_noise = math.sqrt(noise_energy) * rng_stream(master_seed, index, _ROLE_NOISE).standard_normal(n_bits)
     return bits, clean, unit_noise, noise_energy
 
 
@@ -283,16 +276,17 @@ def _sweep_errors(
 
     Bit i is in error at noise amplitude sigma when
     (D_i + sigma * N_i) * b_i <= 0, with D and N from
-    _realization_decisions (N is not drawn when every sigma is 0).  D
-    equals the sample-level correlation up to the order of summation and
-    N equals it in law, so the counts are distributed as those of the
-    waveform path.  The second entry is the mean over bits of
-    Q(b_i D_i / (sigma sqrt(E_N))), the error probability given D; at
-    sigma 0 it is the error fraction.
+    _realization_decisions.  D equals the sample-level correlation up to
+    the order of summation and N equals it in law, so the counts are
+    distributed as those of the waveform path.  The second entry is the
+    mean over bits of Q(b_i D_i / (sigma sqrt(E_N))), the error
+    probability given D; at sigma 0 it is the error fraction.  The
+    channels are those of realization_channels(config, channel_params,
+    master_seed, index) for any n_bits, so a realization's conditional
+    BER can be refined with more bits on the same channel draw.
     """
     bits, clean, unit_noise, noise_energy = _realization_decisions(
-        config, pulses, channel_params, n_bits, master_seed, index, scheme, selection, n_paths,
-        draw_noise=any(s > 0 for s in noise_sigmas),
+        config, pulses, channel_params, n_bits, master_seed, index, scheme, selection, n_paths
     )
     margin = clean * bits
     out = []
@@ -304,32 +298,6 @@ def _sweep_errors(
             qa = errors / n_bits
         out.append((errors, qa))
     return tuple(out)
-
-
-def run_realization(
-    config: SystemConfig,
-    pulses,
-    channel_params: ChannelParams,
-    n_bits: int,
-    master_seed: int,
-    index: int,
-    scheme: str = "mrc",
-    selection: str = "all",
-    n_paths: int | None = None,
-) -> tuple[int, int]:
-    """Errors and bits for the single realization ``index`` of a plan seed,
-    at noise amplitude config.noise_sigma.
-
-    The channels are exactly those of realization_channels(config,
-    channel_params, master_seed, index); traffic and noise come from the
-    realization's own streams, so a conditional BER can be refined with a
-    larger n_bits on the same channel draw.
-    """
-    ((errors, _),) = _sweep_errors(
-        config, pulses, channel_params, n_bits, master_seed, (config.noise_sigma,),
-        scheme, selection, n_paths, index,
-    )
-    return errors, n_bits
 
 
 def _stopped(errors: int, bits: int, used: int, plan: TrialPlan) -> bool:

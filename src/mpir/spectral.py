@@ -23,6 +23,9 @@ from .errors import GridMismatchError, InsufficientDataError, InvalidParameterEr
 from .pulses import GRID_TOL, CorrelationFunction, Waveform, cross_correlation, pulse_spectrum
 from .transceiver import _check_pulse_set
 
+# samples per FFT chunk in empirical_psd (a 4 MB complex array)
+_CHUNK_SAMPLES = 1 << 18
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralDensity:
@@ -79,7 +82,9 @@ def empirical_psd(
     periodogram is |dt * DFT|^2 / segment_duration.  When
     ``symbol_samples`` is given the segment length must be a whole number
     of symbol periods, which is what makes the estimator unbiased for a
-    cyclostationary input.
+    cyclostationary input.  Segments are transformed a chunk at a time,
+    so the working memory stays a few MB whatever the signal length, and
+    their periodograms are added in segment order.
     """
     samples = signal.samples
     dt = signal.dt
@@ -95,8 +100,13 @@ def empirical_psd(
         )
     duration = segment_len * dt
     segs = samples[: segment_len * n_segments].reshape(n_segments, segment_len)
-    spectra = np.abs(np.fft.fft(segs, axis=1) * dt) ** 2 / duration
-    psd = spectra.mean(axis=0)
+    chunk = max(1, _CHUNK_SAMPLES // segment_len)
+    total = np.zeros(segment_len)
+    for start in range(0, n_segments, chunk):
+        spectra = np.abs(np.fft.fft(segs[start : start + chunk], axis=1) * dt) ** 2 / duration
+        for row in spectra:
+            total += row
+    psd = total / n_segments
     freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, d=dt))
     return SpectralDensity(freqs, np.fft.fftshift(psd))
 

@@ -1,11 +1,12 @@
-"""Transmitted blocks, the multiuser received signal, RAKE templates and
-the correlation decision statistic.
+"""Transmitted blocks, RAKE templates and the correlation decision
+statistic.  The multiuser received signal is not sampled here: the BER
+engine (montecarlo) sums its correlations from cross-correlation tables.
 
-Blocks, templates and received signals are ``pulses.Waveform`` objects on
-the common sample grid of the pulses that built them.  Their t0 field is
-the absolute time of the first sample, so they can be aligned exactly by
-integer grid arithmetic.  Frame j of a block occupies [j*T_f, (j+1)*T_f);
-the time-hopping code shifts the frame's waveform by whole chips inside it.
+Blocks and templates are ``pulses.Waveform`` objects on the common sample
+grid of the pulses that built them.  Their t0 field is the absolute time
+of the first sample, so they can be aligned exactly by integer grid
+arithmetic.  Frame j of a block occupies [j*T_f, (j+1)*T_f); the
+time-hopping code shifts the frame's waveform by whole chips inside it.
 """
 
 from __future__ import annotations
@@ -248,20 +249,11 @@ def transmit_block(config: SystemConfig, pulses, bits, codes: CodeSequences) -> 
     """
     _check_pulse_set(pulses, config)
     check_pulse_fits(pulses, config)
-    return received_block(config, pulses, bits, codes)
-
-
-def received_block(config: SystemConfig, composites, bits, codes: CodeSequences) -> Waveform:
-    """One user's block built from the given frame waveforms (the clean
-    pulses in transmit_block, channel-convolved composites at a receiver):
-    frame j carries amplitude d_j b_{j div N_f} / sqrt(N_f)."""
     bits = np.asarray(bits, dtype=float)
-    if len(composites) != config.pulse_types:
-        raise ConfigMismatchError(f"need {config.pulse_types} composites, got {len(composites)}")
     if len(codes) != len(bits) * config.frames_per_symbol:
         raise ConfigMismatchError("codes must supply one entry per frame of the block")
     amps = codes.polarity * np.repeat(bits, config.frames_per_symbol) / math.sqrt(config.frames_per_symbol)
-    return _assemble(config, composites, codes.th, amps)
+    return _assemble(config, pulses, codes.th, amps)
 
 
 def rake_template(config: SystemConfig, codes: CodeSequences, combined, bit_index: int) -> Waveform:
@@ -287,42 +279,6 @@ def rake_template(config: SystemConfig, codes: CodeSequences, combined, bit_inde
     return Waveform(
         block.samples[nz[0] : nz[-1] + 1], block.dt, block.t0 + int(nz[0]) * block.dt
     )
-
-
-def compose_received(
-    config: SystemConfig,
-    blocks,
-    offsets,
-    rng: np.random.Generator | None = None,
-) -> Waveform:
-    """Asynchronous multiuser sum plus white noise.
-
-    blocks[k] is user k's channel-convolved block; offsets[k] is its clock
-    offset, 0 for the user of interest and uniform in [0, T_s) for the
-    rest.  Offsets are snapped to the sample grid.  Noise samples are
-    i.i.d. Gaussian with standard deviation noise_sigma/sqrt(dt), the
-    discretization of unit-spectral-density white noise scaled by
-    noise_sigma.
-    """
-    offsets = np.asarray(offsets, dtype=float)
-    if len(blocks) != len(offsets):
-        raise InvalidParameterError("need one offset per block")
-    if offsets[0] != 0.0:
-        raise InvalidParameterError("the first (desired) user must have offset 0")
-    if np.any(offsets < 0) or np.any(offsets >= config.symbol_time):
-        raise InvalidParameterError("offsets must lie in [0, T_s)")
-    dt = _common_dt(blocks)
-    shifts = [grid_index(b.t0, dt) + grid_index(off, dt) for b, off in zip(blocks, offsets)]
-    lo = min(shifts)
-    hi = max(s + len(b.samples) for s, b in zip(shifts, blocks))
-    out = np.zeros(hi - lo)
-    for s, b in zip(shifts, blocks):
-        out[s - lo : s - lo + len(b.samples)] += b.samples
-    if config.noise_sigma > 0:
-        if rng is None:
-            raise InvalidParameterError("noise_sigma > 0 requires an rng")
-        out += (config.noise_sigma / math.sqrt(dt)) * rng.standard_normal(len(out))
-    return Waveform(out, dt, lo * dt)
 
 
 def decision_statistic(received: Waveform, template: Waveform) -> float:

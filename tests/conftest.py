@@ -1,8 +1,12 @@
-import numpy as np
-import pytest
+import math
 from dataclasses import replace
 
+import numpy as np
+import pytest
+
 from mpir import ChannelParams, SystemConfig, make_mhp
+from mpir.pulses import Waveform, _common_dt, grid_index
+from mpir.transceiver import _assemble
 
 DT = 0.02
 TAU_P = 0.05
@@ -50,3 +54,27 @@ def reference_channel():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# The sample-level reference receiver.  The package decides bits from
+# correlation tables (montecarlo._add_user); these two functions build the
+# sampled received signal those decisions must agree with.
+
+
+def received_block(config, composites, bits, codes):
+    """One user's block built sample by sample from its frame waveforms:
+    frame j carries amplitude d_j b_{j div N_f} / sqrt(N_f)."""
+    n_f = config.frames_per_symbol
+    amps = codes.polarity * np.repeat(np.asarray(bits, dtype=float), n_f) / math.sqrt(n_f)
+    return _assemble(config, composites, codes.th, amps)
+
+
+def compose_received(blocks, offsets):
+    """Noise-free sum of the blocks, block k delayed by offsets[k] samples."""
+    dt = _common_dt(blocks)
+    shifts = [grid_index(b.t0, dt) + off for b, off in zip(blocks, offsets)]
+    lo = min(shifts)
+    out = np.zeros(max(s + len(b.samples) for s, b in zip(shifts, blocks)) - lo)
+    for s, b in zip(shifts, blocks):
+        out[s - lo : s - lo + len(b.samples)] += b.samples
+    return Waveform(out, dt, lo * dt)

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mpir import cli
+from mpir import cli, montecarlo
 from mpir.analysis import bep_averaged, bep_multi, bep_single, conditional_bep_terms, qfunc
 from mpir.analysis import mai_variance_classical, mai_variance_multi, noise_variance
 from mpir.channel import ChannelParams, composite_waveform, sample_channel
@@ -30,7 +30,6 @@ from mpir.montecarlo import (
     rng_stream,
     run_ber,
     run_ber_sweep,
-    run_realization,
 )
 from mpir.pulses import grid_index, make_mhp
 from mpir.spectral import analytic_psd, band_containing, empirical_psd, psd_mismatch
@@ -119,7 +118,6 @@ def sweep_experiment(config_double, config_single, channel_params, pulses):
         # the high-SNR regime); the saturated half (conditional BEP of
         # order 0.1..0.5) is outside any tail approximation's domain.
         sigma_top = sigmas[-1]
-        noisy = replace(cfg, noise_sigma=sigma_top)
         n_used = sim[label][-1].realizations
         cond = np.array([
             qfunc(
@@ -129,11 +127,12 @@ def sweep_experiment(config_double, config_single, channel_params, pulses):
             for r in range(n_used)
         ])
         below = np.argsort(cond)[: n_used // 2]
-        errors = bits = 0
-        for r in below:
-            e, b = run_realization(noisy, pset, channel_params, 1200, SIM_SEED, int(r))
-            errors += e
-            bits += b
+        errors = sum(
+            montecarlo._sweep_errors(cfg, pset, channel_params, 1200, SIM_SEED, (sigma_top,),
+                                     "mrc", "all", None, int(r))[0][0]
+            for r in below
+        )
+        bits = 1200 * len(below)
         top[label] = {
             "sim": errors / bits,
             "theory": float(np.mean(cond[below])),

@@ -25,14 +25,9 @@ from mpir.montecarlo import (
     wilson_halfwidth,
 )
 from mpir.pulses import grid_index, lookup, make_mhp
-from mpir.transceiver import (
-    SystemConfig,
-    _assemble,
-    compose_received,
-    generate_codes,
-    received_block,
-    select_combiner,
-)
+from mpir.transceiver import SystemConfig, _assemble, generate_codes, select_combiner
+
+from conftest import compose_received, received_block
 
 DT = 0.02
 
@@ -188,19 +183,6 @@ class TestRunBerSweep:
         assert quiet.capped
         assert noisy.errors > 0
 
-    def test_noise_free_sweep_draws_no_noise(self, mhp4, monkeypatch):
-        roles = []
-
-        def recording_stream(seed, *path):
-            roles.append(path[-1])
-            return rng_stream(seed, *path)
-
-        monkeypatch.setattr(montecarlo, "rng_stream", recording_stream)
-        plan = TrialPlan(master_seed=2, n_realizations=2, bits_per_realization=50)
-        run_ber_sweep(awgn_config(), [mhp4], awgn_channel(), plan, [0.0, 0.0])
-        assert roles
-        assert montecarlo._ROLE_NOISE not in roles
-
     @pytest.mark.parametrize("sigmas", [[], [-0.1], [float("nan")], [0.5, float("inf")]])
     def test_invalid_noise_sigmas_rejected(self, mhp4, sigmas):
         plan = TrialPlan(master_seed=2, n_realizations=1, bits_per_realization=10)
@@ -221,7 +203,7 @@ def reference_decisions(config, pulses, channel_params, n_bits, seed, index,
                         scheme, selection, n_paths):
     """(bits, D, N, E) of one realization from the sample-level waveform path.
 
-    Every block is assembled sample by sample (received_block, _assemble),
+    Every block is assembled sample by sample (conftest.received_block),
     the users are added on the receiver's clock (compose_received) and
     each bit's decision is the dot product with the template over its
     symbol window, starting at the template block's first sample.  The
@@ -242,16 +224,15 @@ def reference_decisions(config, pulses, channel_params, n_bits, seed, index,
     bits = rng_tr.integers(0, 2, n_bits) * 2 - 1
     codes = generate_codes(config, n_bits * n_f, rng_tr)
     blocks = [received_block(config, desired, bits, codes)]
-    offsets = [0.0]
+    offsets = [0]
     for chan in interferer_chans:
         bits_k = rng_tr.integers(0, 2, n_bits + 1) * 2 - 1
         codes_k = generate_codes(config, (n_bits + 1) * n_f, rng_tr)
         offset_idx = int(rng_tr.integers(0, sym))
         u_set = [composite_waveform(p, chan, chan.gains) for p in pulses]
-        block = received_block(config, u_set, bits_k, codes_k)
-        blocks.append(replace(block, t0=block.t0 - sym * dt))  # starts one bit early
-        offsets.append(offset_idx * dt)
-    received = compose_received(replace(config, noise_sigma=0.0), blocks, offsets)
+        blocks.append(received_block(config, u_set, bits_k, codes_k))
+        offsets.append(offset_idx - sym)  # starts one bit early
+    received = compose_received(blocks, offsets)
 
     template_block = _assemble(config, templates, codes.th, codes.polarity.astype(float))
     start = grid_index(template_block.t0, dt)
@@ -357,18 +338,6 @@ class TestTableEngine:
         late = Waveform(np.ones(length), DT, 101 * DT)
         with pytest.raises(InfeasibleGeometryError):
             montecarlo._check_frame_separable([late], reference_config, DT)
-
-    def test_noise_projection_not_drawn_without_noise(self, mhp4, reference_config,
-                                                      reference_channel):
-        cfg = replace(reference_config, pulse_types=1, n_users=2)
-        args = (cfg, [mhp4], reference_channel, 8, 3, 0, "mrc", "all", None)
-        bits, clean, unit_noise, noise_energy = montecarlo._realization_decisions(
-            *args, draw_noise=False
-        )
-        _, clean_drawn, _, energy_drawn = montecarlo._realization_decisions(*args)
-        assert not unit_noise.any()
-        assert np.array_equal(clean, clean_drawn)
-        assert noise_energy == energy_drawn > 0
 
 
 class TestQuasiAnalytic:

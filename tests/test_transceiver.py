@@ -20,14 +20,14 @@ from mpir.transceiver import (
     CodeSequences,
     SystemConfig,
     check_pulse_fits,
-    compose_received,
     decision_statistic,
     generate_codes,
     rake_template,
-    received_block,
     select_combiner,
     transmit_block,
 )
+
+from conftest import compose_received, received_block
 
 DT = 0.02
 
@@ -174,47 +174,27 @@ class TestTransmitBlock:
 
 
 class TestComposeReceived:
+    """The tests' sample-level multiuser sum (conftest.compose_received)."""
+
     def test_single_user_no_noise_identity(self, mhp4):
         cfg = small_config()
         codes = generate_codes(cfg, 2, rng_stream(8, 0))
         block = transmit_block(cfg, [mhp4], np.array([1.0]), codes)
-        out = compose_received(cfg, [block], np.array([0.0]))
+        out = compose_received([block], [0])
         assert np.array_equal(out.samples, block.samples)
         assert out.t0 == pytest.approx(block.t0)
-
-    def test_noise_sample_variance_convention(self, mhp4):
-        # per-sample std must be noise_sigma / sqrt(dt)
-        cfg = small_config(noise_sigma=0.5)
-        zero = replace(
-            transmit_block(cfg, [mhp4], np.array([1.0]),
-                           generate_codes(cfg, 2, rng_stream(8, 1))),
-        )
-        zero = replace(zero, samples=np.zeros(10**6))
-        out = compose_received(cfg, [zero], np.array([0.0]), rng_stream(8, 2))
-        want = cfg.noise_sigma**2 / DT
-        assert np.var(out.samples) == pytest.approx(want, rel=0.02)
 
     def test_two_users_disjoint_supports(self, mhp4):
         cfg = small_config(n_users=2)
         codes = generate_codes(cfg, 2, rng_stream(8, 3))
         b1 = transmit_block(cfg, [mhp4], np.array([1.0]), codes)
         b2 = transmit_block(cfg, [mhp4], np.array([-1.0]), codes)
-        off = cfg.symbol_time / 2
-        out = compose_received(cfg, [b1, b2], np.array([0.0, off]))
-        k = grid_index(off, DT)
+        k = grid_index(cfg.symbol_time / 2, DT)
+        out = compose_received([b1, b2], [0, k])
         recon = np.zeros(len(out.samples))
         recon[: len(b1.samples)] += b1.samples
         recon[k : k + len(b2.samples)] += b2.samples
         assert np.array_equal(out.samples, recon)
-
-    def test_offset_validation(self, mhp4):
-        cfg = small_config()
-        codes = generate_codes(cfg, 2, rng_stream(8, 4))
-        block = transmit_block(cfg, [mhp4], np.array([1.0]), codes)
-        with pytest.raises(InvalidParameterError):
-            compose_received(cfg, [block], np.array([1.0]))  # desired must be 0
-        with pytest.raises(InvalidParameterError):
-            compose_received(cfg, [block, block], np.array([0.0, cfg.symbol_time]))
 
 
 class TestRakeTemplateAndDecision:
@@ -288,11 +268,10 @@ class TestRakeTemplateAndDecision:
         # with one user and no noise, Y/b == (1/sqrt N_f) sum_j phi_{u_j v_j}(0)
         cfg, pulses, chan, u, v, bits, codes = self._setup(n_bits=4)
         rx = received_block(cfg, u, bits, codes)
-        received = compose_received(cfg, [rx], np.array([0.0]))
         n_f = cfg.frames_per_symbol
         for i, b in enumerate(bits):
             tmpl = rake_template(cfg, codes, v, i)
-            y = decision_statistic(received, tmpl)
+            y = decision_statistic(rx, tmpl)
             phi_sum = sum(decision_statistic(u[j % 2], v[j % 2]) for j in range(n_f))
             want = b * phi_sum / math.sqrt(n_f)
             assert y == pytest.approx(want, rel=1e-9)
@@ -346,17 +325,15 @@ class TestRakeTemplateAndDecision:
         bits_i = np.array([1.0, -1.0])
         codes_i = generate_codes(cfg2, 4, rng)
         flipped_i = CodeSequences(codes_i.th, -codes_i.polarity)
-        off = np.array([0.0, 2.5])  # small shift keeps supports overlapping
+        off = [0, grid_index(2.5, DT)]  # small shift keeps supports overlapping
         rx_d = received_block(cfg2, u, bits, codes)
         y_parts = []
         for ci in (codes_i, flipped_i):
             blk_i = received_block(cfg2, ui, bits_i, ci)
-            rx = compose_received(cfg2, [rx_d, blk_i], off)
+            rx = compose_received([rx_d, blk_i], off)
             tmpl = rake_template(cfg2, codes, v, 0)
             y_parts.append(decision_statistic(rx, tmpl))
-        desired_only = decision_statistic(
-            compose_received(cfg2, [rx_d], np.array([0.0])), rake_template(cfg2, codes, v, 0)
-        )
+        desired_only = decision_statistic(rx_d, rake_template(cfg2, codes, v, 0))
         mai_a = y_parts[0] - desired_only
         mai_b = y_parts[1] - desired_only
         assert mai_a == pytest.approx(-mai_b, rel=1e-9)
@@ -366,7 +343,7 @@ class TestRakeTemplateAndDecision:
         # zeroing all template frames but one changes only that frame's
         # contribution: Y decomposes as the sum of per-frame correlators
         cfg, pulses, chan, u, v, bits, codes = self._setup(seed=13, n_bits=2)
-        rx = compose_received(cfg, [received_block(cfg, u, bits, codes)], np.array([0.0]))
+        rx = received_block(cfg, u, bits, codes)
         full = decision_statistic(rx, rake_template(cfg, codes, v, 1))
         from mpir.transceiver import _assemble
 
