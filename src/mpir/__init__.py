@@ -8,7 +8,7 @@ RAKE detection), analysis (closed-form MAI/noise/BEP), montecarlo
 """
 
 from .analysis import BepResult, MaiVariance, bep_averaged, bep_multi, bep_single, qfunc
-from .channel import ChannelParams, ChannelRealization, composite_waveform, sample_channel
+from .channel import ChannelParams, ChannelRealization, composite_waveform, sample_channel, sample_channels
 from .montecarlo import BerEstimate, TrialPlan, rng_stream, run_ber, run_ber_sweep
 from .pulses import CorrelationFunction, Spectrum, Waveform, cross_correlation, make_mhp, normalize_energy, pulse_spectrum
 from .spectral import SpectralDensity, analytic_autocorrelation, analytic_psd, empirical_psd, psd_mismatch

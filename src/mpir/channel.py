@@ -9,6 +9,8 @@ received signal is composed.
 Generated realizations are kept inside the single-frame containment
 regime (last delay < T_f - N_h*T_c) by rejection-resampling the whole
 realization, so every downstream correlation stays frame-separable.
+``sample_channels`` draws n realizations as (n, L) arrays and redraws
+only the rejected rows; ``sample_channel`` is its n = 1 case.
 
 A composite u(t) = sum_l w_l p(t - delay_l) is a ``pulses.Waveform`` on
 the pulse's sample grid, with every delay snapped to that grid.
@@ -111,32 +113,61 @@ class ChannelRealization:
         return float(np.sum(self.gains**2))
 
 
-def sample_channel(params: ChannelParams, config, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one channel realization satisfying the containment bound of ``config``.
+def sample_channels(
+    params: ChannelParams, config, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``n`` channel realizations satisfying the containment bound of
+    ``config``, as (n, L) arrays of gains and delays.
 
     |gain_l| is log-normal with mean ln-gain mean_log_gain(params, l), the
     sign is an independent fair coin, delay increments are exponential with
     mean ``params.mean_arrival`` and the first delay is 0.  Gains carry a
-    sqrt(power_scale) factor.  Realizations whose last delay exceeds
-    T_f - N_h*T_c are rejected and redrawn as a whole.
+    sqrt(power_scale) factor.  Each attempt draws the normals, then the
+    signs, then the increments of all pending rows; rows whose last delay
+    exceeds T_f - N_h*T_c are redrawn, in row order, as the next attempt.
     """
-    n = params.n_paths
+    n_paths = params.n_paths
     sigma = math.sqrt(params.lognorm_var)
-    mu = mean_log_gain(params, np.arange(n))
+    mu = mean_log_gain(params, np.arange(n_paths))
     bound = config.frame_time - config.hop_positions * config.chip_time
     scale = math.sqrt(params.power_scale)
 
-    for _ in range(_MAX_RESAMPLES):
-        magnitudes = np.exp(mu + sigma * rng.standard_normal(n))
-        signs = rng.integers(0, 2, size=n) * 2 - 1
-        delays = np.zeros(n)
-        if n > 1:
-            delays[1:] = np.cumsum(rng.exponential(params.mean_arrival, size=n - 1))
-        if delays[-1] < bound:
-            return ChannelRealization(scale * magnitudes * signs, delays)
-    raise InfeasibleGeometryError(
-        f"no realization with last delay < {bound} ns in {_MAX_RESAMPLES} attempts"
-    )
+    def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
+        gains = rng.standard_normal((m, n_paths))
+        gains *= sigma
+        gains += mu
+        np.exp(gains, out=gains)
+        gains *= scale
+        signs = rng.integers(0, 2, size=(m, n_paths))
+        signs *= 2
+        signs -= 1
+        gains *= signs
+        delays = np.zeros((m, n_paths))
+        if n_paths > 1:
+            steps = rng.exponential(params.mean_arrival, size=(m, n_paths - 1))
+            np.cumsum(steps, axis=1, out=delays[:, 1:])
+        return gains, delays
+
+    gains, delays = draw(n)
+    rows = np.flatnonzero(delays[:, -1] >= bound)
+    attempts = 1
+    while len(rows):
+        if attempts == _MAX_RESAMPLES:
+            raise InfeasibleGeometryError(
+                f"no realization with last delay < {bound} ns in {_MAX_RESAMPLES} attempts"
+            )
+        redrawn_gains, redrawn_delays = draw(len(rows))
+        gains[rows] = redrawn_gains
+        delays[rows] = redrawn_delays
+        rows = rows[redrawn_delays[:, -1] >= bound]
+        attempts += 1
+    return gains, delays
+
+
+def sample_channel(params: ChannelParams, config, rng: np.random.Generator) -> ChannelRealization:
+    """Draw one channel realization: the n = 1 case of ``sample_channels``."""
+    gains, delays = sample_channels(params, config, rng, 1)
+    return ChannelRealization(gains[0], delays[0])
 
 
 def draw_channels(

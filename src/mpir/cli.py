@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, errors, montecarlo, spectral
-from .channel import ChannelParams, composite_waveform, draw_channels, sample_channel
+from .channel import ChannelParams, composite_waveform, draw_channels, sample_channels
 from .montecarlo import TrialPlan, rng_stream
 from .pulses import make_mhp
 from .transceiver import (
@@ -377,7 +377,8 @@ def _validate_checks(cfg: ExperimentConfig, seed: int, noise_std_scale: float = 
     n_draws = 20000
     for scale, label in ((1.0, "desired"), (config.interferer_power, "interferer")):
         params = replace(cfg.channel, power_scale=scale)
-        mean_e = float(np.mean([sample_channel(params, config, rng).energy for _ in range(n_draws)]))
+        gains, _ = sample_channels(params, config, rng, n_draws)
+        mean_e = float(np.mean(np.sum(gains**2, axis=1)))
         ok = abs(mean_e / scale - 1.0) <= 0.05
         yield f"channel mean energy ({label}) within 5%", ok, f"measured {mean_e:.4f}, target {scale}"
 

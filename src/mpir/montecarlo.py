@@ -474,6 +474,10 @@ def estimate_noise_variance(
 ) -> float:
     """Sample variance of the correlator output under a noise-only input.
 
+    Each trial draws one N(0, sigma^2/dt) sample per nonzero sample of the
+    bit's RAKE template; the noise on the template's exact zeros adds
+    exactly 0 to the correlator, so it is not drawn.
+
     ``noise_std_scale`` deliberately mis-scales the per-sample noise
     standard deviation; it exists so a broken discretization convention
     can be demonstrated to fail the validation checks.
@@ -483,14 +487,15 @@ def estimate_noise_variance(
     dt = templates[0].dt
     codes = generate_codes(config, config.frames_per_symbol, rng)
     tmpl = rake_template(config, codes, templates, 0)
-    t = tmpl.samples
+    t = tmpl.samples[np.flatnonzero(tmpl.samples)]
     scale = noise_std_scale * config.noise_sigma / math.sqrt(dt)
     outputs = np.empty(n_trials)
     chunk = max(1, min(n_trials, (1 << 22) // max(1, len(t))))
+    noise = np.empty((chunk, len(t)))
     done = 0
     while done < n_trials:
         take = min(chunk, n_trials - done)
-        noise = rng.standard_normal((take, len(t)))
-        outputs[done : done + take] = dt * scale * (noise @ t)
+        rng.standard_normal(out=noise[:take])
+        outputs[done : done + take] = dt * scale * (noise[:take] @ t)
         done += take
     return float(np.var(outputs, ddof=1))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from mpir.channel import (
     ChannelParams,
@@ -13,11 +14,42 @@ from mpir.channel import (
     draw_channels,
     mean_log_gain,
     sample_channel,
+    sample_channels,
 )
 from mpir.errors import InfeasibleGeometryError, InvalidParameterError
 from mpir.montecarlo import rng_stream
 from mpir.pulses import grid_index, make_mhp
 from mpir.transceiver import SystemConfig
+
+
+def half_rejecting_config():
+    """T_f = 30 ns, N_h*T_c = 1 ns: a 20-path, 1.5 ns-arrival draw has its
+    last delay past the 29 ns bound about half the time."""
+    return SystemConfig(
+        n_users=2, frames_per_symbol=1, chips_per_frame=30,
+        hop_positions=1, pulse_types=1, chip_time=1.0,
+    )
+
+
+def one_at_a_time(params, config, rng):
+    """Reference draw of one realization: L normals, L sign coins, L-1
+    exponential increments, and the whole draw repeated until its last
+    delay is inside the containment bound.  Returns the realization and
+    the number of rejected draws."""
+    n = params.n_paths
+    bound = config.frame_time - config.hop_positions * config.chip_time
+    mu = np.array([mean_log_gain(params, l) for l in range(n)])
+    rejected = 0
+    while True:
+        magnitudes = np.exp(mu + math.sqrt(params.lognorm_var) * rng.standard_normal(n))
+        signs = rng.integers(0, 2, size=n) * 2 - 1
+        delays = np.zeros(n)
+        if n > 1:
+            delays[1:] = np.cumsum(rng.exponential(params.mean_arrival, size=n - 1))
+        if delays[-1] < bound:
+            gains = math.sqrt(params.power_scale) * magnitudes * signs
+            return ChannelRealization(gains, delays), rejected
+        rejected += 1
 
 
 def wide_open_config():
@@ -87,7 +119,7 @@ class TestSampleChannel:
         rng = rng_stream(77, 3)
         cfg = wide_open_config()
         n = 100_000
-        gains = np.array([sample_channel(reference_channel, cfg, rng).gains for _ in range(n)])
+        gains, _ = sample_channels(reference_channel, cfg, rng, n)
         mean_sq = (gains**2).mean(axis=0)
         ratios = mean_sq[:-1] / mean_sq[1:]
         geo_mean = math.exp(np.mean(np.log(ratios)))
@@ -131,6 +163,55 @@ class TestSampleChannel:
         )
         with pytest.raises(InfeasibleGeometryError):
             sample_channel(reference_channel, cfg, rng_stream(77, 6))
+
+
+class TestSampleChannels:
+    def test_single_row_replays_one_at_a_time_draws(self, reference_channel):
+        cfg = half_rejecting_config()
+        strong = replace(reference_channel, power_scale=5.0)
+        rng, ref_rng = rng_stream(79, 0), rng_stream(79, 0)
+        rejected = 0
+        for _ in range(3000):
+            gains, delays = sample_channels(strong, cfg, rng, 1)
+            want, n_rejected = one_at_a_time(strong, cfg, ref_rng)
+            rejected += n_rejected
+            assert np.array_equal(gains[0], want.gains)
+            assert np.array_equal(delays[0], want.delays)
+        assert 0.35 <= rejected / (3000 + rejected) <= 0.6  # the bound bites
+        chan = sample_channel(strong, cfg, rng)
+        want, _ = one_at_a_time(strong, cfg, ref_rng)
+        assert np.array_equal(chan.gains, want.gains)
+        assert np.array_equal(chan.delays, want.delays)
+
+    def test_rows_are_contained_delay_lines(self, reference_channel):
+        cfg = half_rejecting_config()
+        gains, delays = sample_channels(reference_channel, cfg, rng_stream(79, 1), 3000)
+        assert gains.shape == delays.shape == (3000, reference_channel.n_paths)
+        assert np.all(delays[:, 0] == 0.0)
+        assert np.all(np.diff(delays, axis=1) > 0)
+        assert np.all(delays[:, -1] < cfg.frame_time - cfg.hop_positions * cfg.chip_time)
+
+    def test_batch_law_matches_single_draws(self, reference_channel):
+        # the batch redraws rejected rows in a different stream order than
+        # one call per row; the conditioned law must be the same
+        cfg = half_rejecting_config()
+        n = 3000
+        gains, delays = sample_channels(reference_channel, cfg, rng_stream(79, 2), n)
+        rng = rng_stream(79, 3)
+        singles = [sample_channel(reference_channel, cfg, rng) for _ in range(n)]
+        last = [c.delays[-1] for c in singles]
+        energy = [c.energy for c in singles]
+        assert ks_2samp(delays[:, -1], last).pvalue > 0.01
+        assert ks_2samp(np.sum(gains**2, axis=1), energy).pvalue > 0.01
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_exhausted_resamples_raise(self, reference_channel, n):
+        cfg = SystemConfig(
+            n_users=2, frames_per_symbol=1, chips_per_frame=2,
+            hop_positions=1, pulse_types=1, chip_time=1.0,
+        )
+        with pytest.raises(InfeasibleGeometryError):
+            sample_channels(reference_channel, cfg, rng_stream(79, 4), n)
 
 
 class TestDrawChannels:

@@ -9,7 +9,7 @@ from scipy.stats import ks_2samp
 
 from mpir import montecarlo
 from mpir.analysis import qfunc
-from mpir.channel import ChannelParams, composite_waveform
+from mpir.channel import ChannelParams, composite_waveform, sample_channel
 from mpir.cli import ebn0_db_to_noise_sigma
 from mpir.errors import InfeasibleGeometryError, InvalidParameterError
 from mpir.montecarlo import (
@@ -24,8 +24,8 @@ from mpir.montecarlo import (
     wilson_bounds,
     wilson_halfwidth,
 )
-from mpir.pulses import grid_index, lookup, make_mhp
-from mpir.transceiver import SystemConfig, _assemble, generate_codes, select_combiner
+from mpir.pulses import Waveform, grid_index, lookup, make_mhp
+from mpir.transceiver import SystemConfig, _assemble, generate_codes, rake_template, select_combiner
 
 from conftest import compose_received, received_block
 
@@ -44,6 +44,20 @@ def awgn_channel():
     # L=1, lognorm_var=0 makes |gain| exactly 1; the random sign does not
     # affect MRC detection
     return ChannelParams(n_paths=1, decay_rate=1.0, lognorm_var=0.0, mean_arrival=1.0)
+
+
+def two_user_instance(seed):
+    """Double-pulse system, one desired and one 5x interferer channel of 12 paths."""
+    cfg = SystemConfig(
+        n_users=2, frames_per_symbol=2, chips_per_frame=40,
+        hop_positions=3, pulse_types=2, chip_time=1.0, interferer_power=5.0,
+    )
+    params = ChannelParams(n_paths=12, decay_rate=0.5, lognorm_var=1.0, mean_arrival=1.5)
+    pulses = [make_mhp(4, 0.05, DT), make_mhp(5, 0.05, DT)]
+    rng = rng_stream(seed, 0)
+    desired = sample_channel(params, cfg, rng)
+    interferer = sample_channel(replace(params, power_scale=5.0), cfg, rng)
+    return cfg, pulses, desired, interferer
 
 
 class TestRngStream:
@@ -422,22 +436,8 @@ class TestSweepProperties:
 
 
 class TestEstimateMaiVariance:
-    def _instance(self, seed):
-        cfg = SystemConfig(
-            n_users=2, frames_per_symbol=2, chips_per_frame=40,
-            hop_positions=3, pulse_types=2, chip_time=1.0, interferer_power=5.0,
-        )
-        params = ChannelParams(n_paths=12, decay_rate=0.5, lognorm_var=1.0, mean_arrival=1.5)
-        pulses = [make_mhp(4, 0.05, DT), make_mhp(5, 0.05, DT)]
-        rng = rng_stream(seed, 0)
-        from mpir.channel import sample_channel
-
-        desired = sample_channel(params, cfg, rng)
-        interferer = sample_channel(replace(params, power_scale=5.0), cfg, rng)
-        return cfg, pulses, desired, interferer
-
     def test_zero_interferer_gains(self, mhp4):
-        cfg, pulses, desired, interferer = self._instance(60)
+        cfg, pulses, desired, interferer = two_user_instance(60)
         from mpir.channel import ChannelRealization
 
         silent = ChannelRealization(np.zeros(3), np.array([0.0, 1.0, 2.0]))
@@ -445,7 +445,7 @@ class TestEstimateMaiVariance:
         assert est == 0.0
 
     def test_quadratic_in_gains(self):
-        cfg, pulses, desired, interferer = self._instance(61)
+        cfg, pulses, desired, interferer = two_user_instance(61)
         from mpir.channel import ChannelRealization
 
         doubled = ChannelRealization(2.0 * interferer.gains, interferer.delays)
@@ -454,7 +454,7 @@ class TestEstimateMaiVariance:
         assert b == pytest.approx(4.0 * a, rel=1e-9)  # same draws, scaled values
 
     def test_needs_enough_samples(self):
-        cfg, pulses, desired, interferer = self._instance(62)
+        cfg, pulses, desired, interferer = two_user_instance(62)
         with pytest.raises(InvalidParameterError):
             estimate_mai_variance(cfg, pulses, desired, interferer, 0, 1, rng_stream(62, 1))
 
@@ -489,6 +489,39 @@ class TestEstimateNoiseVariance:
         closed = noise_variance(v, cfg)
         broken = estimate_noise_variance(cfg, v, 50_000, rng_stream(65, 0), noise_std_scale=1.2)
         assert abs(broken - closed) / closed > 0.3
+
+    @staticmethod
+    def _double_pulse_templates(seed):
+        cfg, pulses, desired, _ = two_user_instance(seed)
+        beta = select_combiner(desired, "mrc", "all")
+        return replace(cfg, noise_sigma=0.7), [composite_waveform(p, desired, beta) for p in pulses]
+
+    @pytest.mark.parametrize("n_trials", [7, 5000])
+    def test_draws_only_on_template_support(self, n_trials):
+        # replay: the codes, then n_trials rows of one normal per nonzero
+        # RAKE-template sample; the template's exact zeros draw nothing
+        cfg, v = self._double_pulse_templates(66)
+        est = estimate_noise_variance(cfg, v, n_trials, rng_stream(66, 1))
+        rng = rng_stream(66, 1)
+        tmpl = rake_template(cfg, generate_codes(cfg, cfg.frames_per_symbol, rng), v, 0)
+        support = tmpl.samples[tmpl.samples != 0]
+        assert len(support) < len(tmpl.samples)
+        outputs = DT * (cfg.noise_sigma / math.sqrt(DT)) * (
+            rng.standard_normal((n_trials, len(support))) @ support
+        )
+        assert est == pytest.approx(float(np.var(outputs, ddof=1)), rel=1e-12)
+
+    def test_zero_padded_templates_are_bit_identical(self):
+        # composites that gain zero samples at either end have the same
+        # support, so the estimator draws and returns exactly the same
+        cfg, v = self._double_pulse_templates(67)
+        padded = [
+            Waveform(np.concatenate((np.zeros(lead), w.samples, np.zeros(9))),
+                     w.dt, w.t0 - lead * w.dt)
+            for w, lead in zip(v, (4, 11))
+        ]
+        want = estimate_noise_variance(cfg, v, 3000, rng_stream(67, 1))
+        assert estimate_noise_variance(cfg, padded, 3000, rng_stream(67, 1)) == want
 
 
 class TestBerEstimate:
