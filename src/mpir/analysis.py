@@ -127,12 +127,12 @@ def mai_variance_classical(u, v, config: SystemConfig) -> float:
 
 
 def noise_variance(templates, config: SystemConfig) -> float:
-    """Variance of the correlator output noise:
-    noise_sigma^2 * (N_f / N_p) * sum_j phi_{v_j}(0)."""
+    """Variance of the correlator output noise at unit noise amplitude:
+    (N_f / N_p) * sum_j phi_{v_j}(0), the energy of one bit's template."""
     if len(templates) != config.pulse_types:
         raise ConfigMismatchError(f"need {config.pulse_types} templates")
     energy = sum(v.energy for v in templates)
-    return config.noise_sigma**2 * config.frames_per_symbol / config.pulse_types * energy
+    return config.frames_per_symbol / config.pulse_types * energy
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ def _bep_from_terms(signal: float, mai: float, noise: float) -> BepResult:
     return BepResult(signal, mai, noise, qfunc(signal / math.sqrt(denom)))
 
 
-def bep_multi(desired, templates, mai, config: SystemConfig) -> BepResult:
+def bep_multi(desired, templates, mai, config: SystemConfig, noise_sigma: float) -> BepResult:
     """Approximate BEP of the N_p-pulse system, conditioned on the channels.
 
     pe = Q( (1/sqrt N_p) sum_j phi_{u_j v_j}(0)
@@ -168,18 +168,18 @@ def bep_multi(desired, templates, mai, config: SystemConfig) -> BepResult:
         raise ConfigMismatchError(f"need {n_p} desired composites and templates")
     signal = sum(decision_statistic(u, v) for u, v in zip(desired, templates)) / math.sqrt(n_p)
     mai_term = float(mai.total) if isinstance(mai, MaiVariance) else float(mai)
-    noise_term = config.noise_sigma**2 * sum(v.energy for v in templates)
+    noise_term = noise_sigma**2 * sum(v.energy for v in templates)
     return _bep_from_terms(signal, mai_term, noise_term)
 
 
-def bep_single(u, v, interferer_variances, config: SystemConfig) -> BepResult:
+def bep_single(u, v, interferer_variances, config: SystemConfig, noise_sigma: float) -> BepResult:
     """Single-pulse BEP:
     pe = Q( phi_uv(0) / sqrt((1/(N_f N_h^2)) sum_k sigma2_M(k)
                              + noise_sigma^2 phi_v(0)) )."""
     signal = decision_statistic(u, v)
     var_sum = float(np.sum(np.asarray(interferer_variances, dtype=float)))
     mai_term = var_sum / (config.frames_per_symbol * config.hop_positions**2)
-    noise_term = config.noise_sigma**2 * v.energy
+    noise_term = noise_sigma**2 * v.energy
     return _bep_from_terms(signal, mai_term, noise_term)
 
 
@@ -225,23 +225,21 @@ def bep_averaged(
     channel_params: ChannelParams,
     n_realizations: int,
     rng: np.random.Generator,
+    noise_sigmas,
     scheme: str = "mrc",
     selection: str = "all",
     n_paths: int | None = None,
-    noise_sigmas=None,
 ) -> AveragedBep:
     """Mean conditional BEP over independent channel draws.
 
     Each realization draws one desired channel from channel_params and
     n_users - 1 interferer channels with power_scale multiplied by
     config.interferer_power.  The same ensemble is reused for every noise
-    amplitude in the sweep.
+    amplitude in ``noise_sigmas``.
     """
     if n_realizations < 1:
         raise InvalidParameterError("n_realizations must be >= 1")
-    sigmas = np.atleast_1d(
-        np.asarray(noise_sigmas if noise_sigmas is not None else [config.noise_sigma], dtype=float)
-    )
+    sigmas = np.atleast_1d(np.asarray(noise_sigmas, dtype=float))
     pes = np.zeros((n_realizations, len(sigmas)))
     mai_out = np.zeros(n_realizations)
     for i in range(n_realizations):

@@ -6,30 +6,18 @@ the fully resolved configuration and the master seed, so a result can
 always be traced back to the exact experiment that produced it.  For a
 fixed (config, seed) the files are byte-identical at any worker count.
 
-Config schema (version mpir-experiment/1, all times in ns):
+The experiment file (schema mpir-experiment/1, all times in ns) is
+described by CONFIG_TABLE below, and README.md shows an example.  Every
+key is typed and checked when the config is parsed: unknown keys are
+rejected; numbers must be finite JSON numbers, never strings or booleans;
+integer keys must hold integral numbers; null is accepted only for
+combiner.paths and trials.max_bits.  --threads must be >= 1.  Each
+violation exits 2 with one "error:" line on stderr.  The output header
+keeps each value as written (integer keys as ints), defaults filled in.
 
-    {
-      "schema": "mpir-experiment/1",
-      "system": {"users": 20, "frames_per_symbol": 2, "chips_per_frame": 40,
-                 "hop_positions": 3, "chip_time_ns": 1.0, "interferer_power": 5.0},
-      "pulses": [{"kind": "mhp", "order": 4, "width_ns": 0.05},
-                 {"kind": "mhp", "order": 5, "width_ns": 0.05}],
-      "sample_step_ns": 0.02,
-      "channel": {"paths": 20, "decay_rate": 0.5, "lognorm_var": 1.0,
-                  "mean_arrival_ns": 1.5},
-      "combiner": {"scheme": "mrc", "selection": "all", "paths": null},
-      "sweep_ebn0_db": [0, 4, 8, 12, 16, 24],
-      "trials": {"master_seed": 1234, "channel_realizations": 64,
-                 "bits_per_realization": 500, "min_errors": 50,
-                 "min_realizations": 1, "max_bits": null},
-      "theory_realizations": 500,
-      "psd": {"symbols": 2000, "segment_symbols": 1}
-    }
-
-Unknown keys anywhere are rejected.  The number of pulse entries sets the
-pulse-type count N_p.  Eb/N0 maps to the noise amplitude via
-noise_sigma = sqrt(10**(-ebn0_db/10) / 2), i.e. unit received bit energy
-and N0/2 = noise_sigma**2.
+The number of pulse entries sets the pulse-type count N_p.  Eb/N0 maps
+to the noise amplitude via noise_sigma = sqrt(10**(-ebn0_db/10) / 2),
+i.e. unit received bit energy and N0/2 = noise_sigma**2.
 """
 
 from __future__ import annotations
@@ -48,6 +36,8 @@ from .channel import ChannelParams, composite_waveform, draw_channels, sample_ch
 from .montecarlo import TrialPlan, rng_stream
 from .pulses import make_mhp
 from .transceiver import (
+    SCHEMES,
+    SELECTIONS,
     SystemConfig,
     check_pulse_fits,
     generate_codes,
@@ -56,6 +46,35 @@ from .transceiver import (
 )
 
 SCHEMA = "mpir-experiment/1"
+REQUIRED = object()  # the default of a key the experiment file must set
+
+# The experiment file: key -> (type, default), with one nested table per
+# section.  A type is int, float, a tuple of the allowed strings, a table,
+# or [type] for a list.  null is accepted only where the default is None.
+CONFIG_TABLE = {
+    "schema": ((SCHEMA,), REQUIRED),
+    "system": ({
+        "users": (int, REQUIRED), "frames_per_symbol": (int, REQUIRED),
+        "chips_per_frame": (int, REQUIRED), "hop_positions": (int, REQUIRED),
+        "chip_time_ns": (float, REQUIRED), "interferer_power": (float, 5.0),
+    }, {}),
+    "pulses": ([{"kind": (("mhp",), "mhp"), "order": (int, REQUIRED), "width_ns": (float, 0.05)}],
+               REQUIRED),
+    "sample_step_ns": (float, REQUIRED),
+    "channel": ({
+        "paths": (int, REQUIRED), "decay_rate": (float, REQUIRED),
+        "lognorm_var": (float, REQUIRED), "mean_arrival_ns": (float, REQUIRED),
+    }, {}),
+    "combiner": ({"scheme": (SCHEMES, "mrc"), "selection": (SELECTIONS, "all"), "paths": (int, None)}, {}),
+    "sweep_ebn0_db": ([float], []),
+    "trials": ({
+        "master_seed": (int, REQUIRED), "channel_realizations": (int, REQUIRED),
+        "bits_per_realization": (int, REQUIRED), "min_errors": (int, 50),
+        "min_realizations": (int, 1), "max_bits": (int, None),
+    }, {}),
+    "theory_realizations": (int, 500),
+    "psd": ({"symbols": (int, 2000), "segment_symbols": (int, 1)}, {}),
+}
 
 
 class ConfigError(ValueError):
@@ -75,27 +94,38 @@ def ebn0_db_to_noise_sigma(ebn0_db: float) -> float:
     return math.sqrt(0.5 * 10.0 ** (-ebn0_db / 10.0))
 
 
-def _section(raw: dict, key: str, allowed: dict, where: str) -> dict:
-    """Pull a mapping section, fill defaults, reject unknown keys.
-
-    ``allowed`` maps key -> default; a default of Ellipsis marks a
-    required key.
-    """
-    section = raw.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}.{key} must be an object")
-    extra = set(section) - set(allowed)
-    if extra:
-        raise ConfigError(f"unknown key(s) {sorted(extra)} in {where}.{key}")
-    out = {}
-    for name, default in allowed.items():
-        if name in section:
-            out[name] = section[name]
-        elif default is Ellipsis:
-            raise ConfigError(f"missing required key {where}.{key}.{name}")
-        else:
-            out[name] = default
-    return out
+def _check(value, kind, where: str):
+    """``value`` checked against ``kind`` of CONFIG_TABLE: unknown keys are
+    rejected and defaults filled in; an integral number in an int key
+    becomes an int, every other value is kept as written."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object")
+        unknown = sorted(set(value) - set(kind))
+        if unknown:
+            raise ConfigError(f"unknown {'top-level ' if where == 'config' else ''}key(s) {unknown} in {where}")
+        out = {}
+        for key, (sub, default) in kind.items():
+            item = value.get(key, default)
+            if item is REQUIRED:
+                raise ConfigError(f"missing required key {where}.{key}")
+            out[key] = None if item is None and default is None else _check(item, sub, f"{where}.{key}")
+        return out
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list")
+        return [_check(item, kind[0], f"{where}[{i}]") for i, item in enumerate(value)]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{where} must be one of {list(kind)}, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    if kind is int:
+        if value != int(value):
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        return int(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -117,118 +147,61 @@ class ExperimentConfig:
     resolved: dict
 
     def make_pulses(self):
-        pulses = []
-        for spec in self.pulse_specs:
-            pulses.append(make_mhp(int(spec["order"]), float(spec["width_ns"]), self.sample_step))
+        pulses = [make_mhp(spec["order"], spec["width_ns"], self.sample_step) for spec in self.pulse_specs]
         check_pulse_fits(pulses, self.system)
         return pulses
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("top-level config must be an object")
-    top_allowed = {
-        "schema", "system", "pulses", "sample_step_ns", "channel", "combiner",
-        "sweep_ebn0_db", "trials", "theory_realizations", "psd",
-    }
-    extra = set(raw) - top_allowed
-    if extra:
-        raise ConfigError(f"unknown top-level key(s) {sorted(extra)}")
-    if raw.get("schema") != SCHEMA:
-        raise ConfigError(f"config schema must be {SCHEMA!r}, got {raw.get('schema')!r}")
-
-    sys_d = _section(raw, "system", {
-        "users": ..., "frames_per_symbol": ..., "chips_per_frame": ...,
-        "hop_positions": ..., "chip_time_ns": ..., "interferer_power": 5.0,
-    }, "config")
-    pulses = raw.get("pulses")
-    if not isinstance(pulses, list) or not pulses:
+    resolved = _check(raw, CONFIG_TABLE, "config")
+    sys_d, chan_d, comb_d, trials_d, psd_d = (
+        resolved[key] for key in ("system", "channel", "combiner", "trials", "psd")
+    )
+    if not resolved["pulses"]:
         raise ConfigError("config.pulses must be a nonempty list")
-    pulse_specs = []
-    for i, p in enumerate(pulses):
-        spec = _section({"p": p}, "p", {"kind": "mhp", "order": ..., "width_ns": 0.05},
-                        f"config.pulses[{i}]")
-        if spec["kind"] != "mhp":
-            raise ConfigError(f"unsupported pulse kind {spec['kind']!r} in config.pulses[{i}]")
-        pulse_specs.append(spec)
-    if "sample_step_ns" not in raw:
-        raise ConfigError("missing required key config.sample_step_ns")
-    sample_step = float(raw["sample_step_ns"])
-
-    chan_d = _section(raw, "channel", {
-        "paths": ..., "decay_rate": ..., "lognorm_var": ..., "mean_arrival_ns": ...,
-    }, "config")
-    comb_d = _section(raw, "combiner", {"scheme": "mrc", "selection": "all", "paths": None}, "config")
-    trials_d = _section(raw, "trials", {
-        "master_seed": ..., "channel_realizations": ..., "bits_per_realization": ...,
-        "min_errors": 50, "min_realizations": 1, "max_bits": None,
-    }, "config")
-    psd_d = _section(raw, "psd", {"symbols": 2000, "segment_symbols": 1}, "config")
-
-    sweep = raw.get("sweep_ebn0_db", [])
-    if not isinstance(sweep, list):
-        raise ConfigError("config.sweep_ebn0_db must be a list of dB values")
-
+    if resolved["theory_realizations"] < 1:
+        raise ConfigError("config.theory_realizations must be >= 1")
+    if not 1 <= psd_d["segment_symbols"] <= psd_d["symbols"]:
+        raise ConfigError("config.psd needs 1 <= segment_symbols <= symbols")
+    if comb_d["selection"] != "all" and not 1 <= (comb_d["paths"] or 0) <= chan_d["paths"]:
+        raise ConfigError(f"config.combiner.selection {comb_d['selection']!r} needs "
+                          f"config.combiner.paths in [1, {chan_d['paths']}]")
     try:
         system = SystemConfig(
-            n_users=int(sys_d["users"]),
-            frames_per_symbol=int(sys_d["frames_per_symbol"]),
-            chips_per_frame=int(sys_d["chips_per_frame"]),
-            hop_positions=int(sys_d["hop_positions"]),
-            pulse_types=len(pulse_specs),
-            chip_time=float(sys_d["chip_time_ns"]),
-            noise_sigma=0.0,
-            interferer_power=float(sys_d["interferer_power"]),
+            n_users=sys_d["users"],
+            frames_per_symbol=sys_d["frames_per_symbol"],
+            chips_per_frame=sys_d["chips_per_frame"],
+            hop_positions=sys_d["hop_positions"],
+            pulse_types=len(resolved["pulses"]),
+            chip_time=sys_d["chip_time_ns"],
+            interferer_power=sys_d["interferer_power"],
         )
         channel = ChannelParams(
-            n_paths=int(chan_d["paths"]),
-            decay_rate=float(chan_d["decay_rate"]),
-            lognorm_var=float(chan_d["lognorm_var"]),
-            mean_arrival=float(chan_d["mean_arrival_ns"]),
-            power_scale=1.0,
+            chan_d["paths"], chan_d["decay_rate"], chan_d["lognorm_var"], chan_d["mean_arrival_ns"]
         )
         plan = TrialPlan(
-            master_seed=int(trials_d["master_seed"]),
-            n_realizations=int(trials_d["channel_realizations"]),
-            bits_per_realization=int(trials_d["bits_per_realization"]),
-            min_errors=int(trials_d["min_errors"]),
-            max_bits=None if trials_d["max_bits"] is None else int(trials_d["max_bits"]),
-            min_realizations=int(trials_d["min_realizations"]),
+            master_seed=trials_d["master_seed"],
+            n_realizations=trials_d["channel_realizations"],
+            bits_per_realization=trials_d["bits_per_realization"],
+            min_errors=trials_d["min_errors"],
+            max_bits=trials_d["max_bits"],
+            min_realizations=trials_d["min_realizations"],
         )
-        sweep_db = tuple(float(x) for x in sweep)
-        theory_realizations = int(raw.get("theory_realizations", 500))
-    except (TypeError, ValueError) as exc:
+    except errors.InvalidParameterError as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
-    if any(math.isnan(db) for db in sweep_db):
-        raise ConfigError("config.sweep_ebn0_db entries must be numbers, got NaN")
-    if theory_realizations < 1:
-        raise ConfigError("config.theory_realizations must be >= 1")
-
-    resolved = {
-        "schema": SCHEMA,
-        "system": sys_d,
-        "pulses": pulse_specs,
-        "sample_step_ns": sample_step,
-        "channel": chan_d,
-        "combiner": comb_d,
-        "sweep_ebn0_db": list(sweep),
-        "trials": trials_d,
-        "theory_realizations": theory_realizations,
-        "psd": psd_d,
-    }
     return ExperimentConfig(
         system=system,
-        pulse_specs=tuple(pulse_specs),
-        sample_step=sample_step,
+        pulse_specs=tuple(resolved["pulses"]),
+        sample_step=resolved["sample_step_ns"],
         channel=channel,
-        scheme=str(comb_d["scheme"]),
-        selection=str(comb_d["selection"]),
-        combiner_paths=None if comb_d["paths"] is None else int(comb_d["paths"]),
-        sweep_ebn0_db=sweep_db,
+        scheme=comb_d["scheme"],
+        selection=comb_d["selection"],
+        combiner_paths=comb_d["paths"],
+        sweep_ebn0_db=tuple(resolved["sweep_ebn0_db"]),
         plan=plan,
-        theory_realizations=theory_realizations,
-        psd_symbols=int(psd_d["symbols"]),
-        psd_segment_symbols=int(psd_d["segment_symbols"]),
+        theory_realizations=resolved["theory_realizations"],
+        psd_symbols=psd_d["symbols"],
+        psd_segment_symbols=psd_d["segment_symbols"],
         resolved=resolved,
     )
 
@@ -312,8 +285,7 @@ def cmd_bep(cfg: ExperimentConfig, out_dir: Path, seed: int) -> Path:
     sigmas = [ebn0_db_to_noise_sigma(db) for db in cfg.sweep_ebn0_db]
     averaged = analysis.bep_averaged(
         cfg.system, pulses, cfg.channel, cfg.theory_realizations,
-        rng_stream(seed, 1), cfg.scheme, cfg.selection, cfg.combiner_paths,
-        noise_sigmas=sigmas,
+        rng_stream(seed, 1), sigmas, cfg.scheme, cfg.selection, cfg.combiner_paths,
     )
     rows = [
         (float(db), float(pe), float(se))
@@ -397,27 +369,26 @@ def _validate_checks(cfg: ExperimentConfig, seed: int, noise_std_scale: float = 
         f"closed {closed:.5g}, mc {est:.5g}, rel {rel:.4f}"
     )
 
-    # 4. output-noise variance convention
-    noisy = replace(config, noise_sigma=1.0)
+    # 4. output-noise variance convention, at unit noise amplitude
     rng = rng_stream(seed, 14)
     received, templates = rake_composites(pulses, desired, cfg.scheme, cfg.selection,
                                           cfg.combiner_paths)
-    closed_n = analysis.noise_variance(templates, noisy)
-    est_n = montecarlo.estimate_noise_variance(noisy, templates, 20_000, rng, noise_std_scale)
+    closed_n = analysis.noise_variance(templates, config)
+    est_n = montecarlo.estimate_noise_variance(config, templates, 20_000, rng, noise_std_scale)
     rel_n = abs(est_n - closed_n) / closed_n
     yield "noise variance closed form vs Monte Carlo within 5%", rel_n <= 0.05, (
         f"closed {closed_n:.5g}, mc {est_n:.5g}, rel {rel_n:.4f}"
     )
 
     # 5. single-pulse reduction identity
-    single = replace(config, pulse_types=1, noise_sigma=0.3)
+    single = replace(config, pulse_types=1)
     u0 = received[0]
     v0 = templates[0]
     u_int = composite_waveform(pulses[0], interferer, interferer.gains)
     multi = analysis.bep_multi(
-        [u0], [v0], analysis.mai_variance_multi([[u_int]], [v0], single), single
+        [u0], [v0], analysis.mai_variance_multi([[u_int]], [v0], single), single, 0.3
     )
-    one = analysis.bep_single(u0, v0, [analysis.mai_variance_classical(u_int, v0, single)], single)
+    one = analysis.bep_single(u0, v0, [analysis.mai_variance_classical(u_int, v0, single)], single, 0.3)
     diff = abs(multi.pe - one.pe) / max(one.pe, 1e-300)
     yield "single-pulse reduction identity <= 1e-12", diff <= 1e-12, f"relative diff {diff:.2e}"
 
@@ -449,6 +420,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.plan.master_seed
         out_dir = Path(args.out)

@@ -47,7 +47,7 @@ from functools import partial
 
 import numpy as np
 
-from .analysis import qfunc
+from .analysis import noise_variance, qfunc
 from .channel import ChannelParams, ChannelRealization, composite_waveform, draw_channels
 from .errors import InvalidParameterError
 from .pulses import cross_correlation, grid_index, lookup
@@ -218,7 +218,8 @@ def _realization_decisions(
     D is the correlation of the noise-free received signal with each bit's
     RAKE template, summed from cross-correlation lookups frame by frame
     (_add_user); no waveform longer than one composite is built.
-    E_N = (N_f / N_p) * sum_j E(v_j) is the energy of one bit's template.
+    E_N = (N_f / N_p) * sum_j E(v_j) (analysis.noise_variance) is the
+    energy of one bit's template.
     N is sqrt(E_N) times one standard normal per bit from the noise
     stream: equal in law to the correlation, scaled by sqrt(dt), of each
     bit's template with a standard-normal draw per sample, because
@@ -254,7 +255,7 @@ def _realization_decisions(
                   codes_k.th, offset_idx - sym, codes.th)
     clean = (acc * codes.polarity).reshape(n_bits, n_f).sum(axis=1)
 
-    noise_energy = n_f / config.pulse_types * sum(v.energy for v in templates)
+    noise_energy = noise_variance(templates, config)
     unit_noise = math.sqrt(noise_energy) * rng_stream(master_seed, index, _ROLE_NOISE).standard_normal(n_bits)
     return bits, clean, unit_noise, noise_energy
 
@@ -337,8 +338,8 @@ def run_ber_sweep(
     projection N as one N(0, E_N) normal from the noise stream, equal in
     law to the sample-level projection of white noise on the bit's
     template; detect the bit by the sign of D + sigma * N for every sigma
-    in ``noise_sigmas`` (config.noise_sigma is not used).  Every point sees
-    the same channels, traffic and noise draw, scaled by its sigma.  Each
+    in ``noise_sigmas``.  Every point sees the same channels, traffic and
+    noise draw, scaled by its sigma.  Each
     estimate also carries ber_qa, the mean over the realizations its stop
     rule used of their mean conditional error probability given D, with
     the standard error of that mean.
@@ -393,17 +394,18 @@ def run_ber(
     pulses,
     channel_params: ChannelParams,
     plan: TrialPlan,
+    noise_sigma: float,
     scheme: str = "mrc",
     selection: str = "all",
     n_paths: int | None = None,
     threads: int = 1,
 ) -> BerEstimate:
-    """Waveform-level BER of the user of interest at config.noise_sigma:
-    the one-point sweep run_ber_sweep(..., [config.noise_sigma], ...)[0].
-    Deterministic for a fixed plan at any thread count.
+    """Waveform-level BER of the user of interest at noise amplitude
+    ``noise_sigma``: the one-point sweep run_ber_sweep(..., [noise_sigma],
+    ...)[0].  Deterministic for a fixed plan at any thread count.
     """
     return run_ber_sweep(
-        config, pulses, channel_params, plan, [config.noise_sigma],
+        config, pulses, channel_params, plan, [noise_sigma],
         scheme, selection, n_paths, threads,
     )[0]
 
@@ -472,9 +474,10 @@ def estimate_noise_variance(
     rng: np.random.Generator,
     noise_std_scale: float = 1.0,
 ) -> float:
-    """Sample variance of the correlator output under a noise-only input.
+    """Sample variance of the correlator output under a noise-only input of
+    unit amplitude.
 
-    Each trial draws one N(0, sigma^2/dt) sample per nonzero sample of the
+    Each trial draws one N(0, 1/dt) sample per nonzero sample of the
     bit's RAKE template; the noise on the template's exact zeros adds
     exactly 0 to the correlator, so it is not drawn.
 
@@ -488,7 +491,7 @@ def estimate_noise_variance(
     codes = generate_codes(config, config.frames_per_symbol, rng)
     tmpl = rake_template(config, codes, templates, 0)
     t = tmpl.samples[np.flatnonzero(tmpl.samples)]
-    scale = noise_std_scale * config.noise_sigma / math.sqrt(dt)
+    scale = noise_std_scale / math.sqrt(dt)
     outputs = np.empty(n_trials)
     chunk = max(1, min(n_trials, (1 << 22) // max(1, len(t))))
     noise = np.empty((chunk, len(t)))

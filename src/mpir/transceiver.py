@@ -20,6 +20,10 @@ from .channel import ChannelRealization, composite_waveform
 from .errors import ConfigMismatchError, InfeasibleGeometryError, InvalidParameterError
 from .pulses import GRID_TOL, Waveform, _common_dt, grid_count, grid_index
 
+# RAKE combining schemes and path selections select_combiner accepts
+SCHEMES = ("mrc", "egc")
+SELECTIONS = ("all", "partial", "selective")
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -31,7 +35,6 @@ class SystemConfig:
     hop_positions    : N_h, time-hopping codes take values 0..N_h-1
     pulse_types      : N_p, distinct pulse shapes cycled across frames
     chip_time        : T_c in ns
-    noise_sigma      : amplitude of the unit-spectral-density white noise
     interferer_power : received-energy ratio interferer/desired
     """
 
@@ -41,7 +44,6 @@ class SystemConfig:
     hop_positions: int
     pulse_types: int
     chip_time: float
-    noise_sigma: float = 0.0
     interferer_power: float = 5.0
 
     def __post_init__(self):
@@ -54,8 +56,6 @@ class SystemConfig:
             raise InvalidParameterError("frames_per_symbol must be a multiple of pulse_types")
         if not self.chip_time > 0:
             raise InvalidParameterError("chip_time must be positive")
-        if self.noise_sigma < 0:
-            raise InvalidParameterError("noise_sigma must be nonnegative")
         if not self.interferer_power > 0:
             raise InvalidParameterError("interferer_power must be positive")
 
@@ -164,9 +164,9 @@ def select_combiner(
     (first n_paths) or selective (n_paths largest |gain|) combining the
     weights of unused paths are set to zero.
     """
-    if scheme not in ("mrc", "egc"):
+    if scheme not in SCHEMES:
         raise InvalidParameterError(f"unknown combining scheme {scheme!r}")
-    if selection not in ("all", "partial", "selective"):
+    if selection not in SELECTIONS:
         raise InvalidParameterError(f"unknown path selection {selection!r}")
     beta = chan.gains.copy() if scheme == "mrc" else np.sign(chan.gains)
     if selection != "all":

@@ -33,7 +33,6 @@ def reference_config():
         hop_positions=3,
         pulse_types=2,
         chip_time=1.0,
-        noise_sigma=0.0,
         interferer_power=5.0,
     )
 

@@ -54,7 +54,7 @@ def pulses():
 def config_double():
     return SystemConfig(
         n_users=20, frames_per_symbol=2, chips_per_frame=40, hop_positions=3,
-        pulse_types=2, chip_time=1.0, noise_sigma=0.0, interferer_power=5.0,
+        pulse_types=2, chip_time=1.0, interferer_power=5.0,
     )
 
 
@@ -79,7 +79,7 @@ def sweep_experiment(config_double, config_single, channel_params, pulses):
         ("single", config_single, pulses[:1]),
     ):
         theory[label] = bep_averaged(
-            cfg, pset, channel_params, 500, rng_stream(99, 0), noise_sigmas=sigmas
+            cfg, pset, channel_params, 500, rng_stream(99, 0), sigmas
         )
 
     plan = TrialPlan(
@@ -96,16 +96,15 @@ def sweep_experiment(config_double, config_single, channel_params, pulses):
         terms_cache = {}
         sim[label] = run_ber_sweep(cfg, pset, channel_params, plan, sigmas)
         for sigma, est in zip(sigmas, sim[label]):
-            noisy = replace(cfg, noise_sigma=sigma)
             # conditional theory on exactly the realizations the sim used
             pes = []
             for r in range(est.realizations):
                 if r not in terms_cache:
                     desired, interferers = realization_channels(
-                        noisy, channel_params, SIM_SEED, r
+                        cfg, channel_params, SIM_SEED, r
                     )
                     terms_cache[r] = conditional_bep_terms(
-                        noisy, pset, desired, interferers
+                        cfg, pset, desired, interferers
                     )
                 sig, mai, energy = terms_cache[r]
                 pes.append(qfunc(sig / math.sqrt(mai.total + sigma**2 * energy)))
@@ -223,9 +222,8 @@ class TestA4NoiseVariance:
         desired = sample_channel(channel_params, config_double, rng)
         beta = select_combiner(desired, "mrc", "all")
         templates = [composite_waveform(p, desired, beta) for p in pulses]
-        noisy = replace(config_double, noise_sigma=0.9)
-        closed = noise_variance(templates, noisy)
-        est = estimate_noise_variance(noisy, templates, 100_000, rng_stream(304, 1))
+        closed = noise_variance(templates, config_double)
+        est = estimate_noise_variance(config_double, templates, 100_000, rng_stream(304, 1))
         rel = abs(est - closed) / closed
         assert rel <= 0.02
         _report(
@@ -314,14 +312,15 @@ class TestA7ReductionIdentity:
         for _ in range(100):
             n_c = int(rng_master.integers(5, 24))
             n_h = int(rng_master.integers(1, min(5, n_c + 1)))
+            n_f = int(rng_master.integers(1, 5))
+            sigma = float(rng_master.uniform(0.05, 1.2))
             cfg = SystemConfig(
                 n_users=2,
-                frames_per_symbol=int(rng_master.integers(1, 5)),
+                frames_per_symbol=n_f,
                 chips_per_frame=n_c,
                 hop_positions=n_h,
                 pulse_types=1,
                 chip_time=1.0,
-                noise_sigma=float(rng_master.uniform(0.05, 1.2)),
                 interferer_power=float(rng_master.uniform(0.5, 8.0)),
             )
             pulse = make_mhp(int(rng_master.integers(0, 7)), TAU_P, DT)
@@ -338,8 +337,8 @@ class TestA7ReductionIdentity:
             u = composite_waveform(pulse, desired, desired.gains)
             v = composite_waveform(pulse, desired, beta)
             ui = composite_waveform(pulse, interferer, interferer.gains)
-            multi = bep_multi([u], [v], mai_variance_multi([[ui]], [v], cfg), cfg)
-            single = bep_single(u, v, [mai_variance_classical(ui, v, cfg)], cfg)
+            multi = bep_multi([u], [v], mai_variance_multi([[ui]], [v], cfg), cfg, sigma)
+            single = bep_single(u, v, [mai_variance_classical(ui, v, cfg)], cfg, sigma)
             rel = abs(multi.pe - single.pe) / single.pe
             worst = max(worst, rel)
             assert rel <= 1e-12
@@ -353,7 +352,7 @@ class TestA8AwgnSanity:
     def test_wilson_interval_covers_matched_filter_bound(self):
         cfg0 = SystemConfig(
             n_users=1, frames_per_symbol=1, chips_per_frame=8, hop_positions=1,
-            pulse_types=1, chip_time=1.0, noise_sigma=0.0, interferer_power=1.0,
+            pulse_types=1, chip_time=1.0, interferer_power=1.0,
         )
         chan = ChannelParams(n_paths=1, decay_rate=1.0, lognorm_var=0.0, mean_arrival=1.0)
         pulse = [make_mhp(4, TAU_P, DT)]
@@ -364,7 +363,7 @@ class TestA8AwgnSanity:
                 master_seed=308, n_realizations=4, bits_per_realization=25_000,
                 min_errors=10**9,
             )
-            est = run_ber(replace(cfg0, noise_sigma=sigma), pulse, chan, plan)
+            est = run_ber(cfg0, pulse, chan, plan, sigma)
             want = qfunc(math.sqrt(2.0 * 10 ** (db / 10)))
             lo, hi = est.ci_bounds()
             assert lo <= want <= hi, f"{db} dB: {want:.5f} outside [{lo:.5f}, {hi:.5f}]"

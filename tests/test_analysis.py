@@ -67,8 +67,7 @@ class TestQFunc:
 def _reference_instance(seed, n_interferers=1):
     cfg = SystemConfig(
         n_users=1 + n_interferers, frames_per_symbol=2, chips_per_frame=40,
-        hop_positions=3, pulse_types=2, chip_time=1.0, noise_sigma=0.0,
-        interferer_power=5.0,
+        hop_positions=3, pulse_types=2, chip_time=1.0, interferer_power=5.0,
     )
     params = ChannelParams(n_paths=20, decay_rate=0.5, lognorm_var=1.0, mean_arrival=1.5)
     pulses = [make_mhp(4, 0.05, DT), make_mhp(5, 0.05, DT)]
@@ -258,52 +257,50 @@ class TestMaiVariance:
 
 class TestNoiseVariance:
     def test_zero_noise(self):
+        # an all-zero template passes no noise
         cfg, pulses, desired, _ = _reference_instance(35)
-        beta = select_combiner(desired, "mrc", "all")
-        v = [composite_waveform(p, desired, beta) for p in pulses]
+        v = [composite_waveform(p, desired, np.zeros(desired.n_paths)) for p in pulses]
         assert noise_variance(v, cfg) == 0.0
 
     def test_single_path_unit_gain(self, mhp4):
         cfg = SystemConfig(
             n_users=1, frames_per_symbol=4, chips_per_frame=8,
-            hop_positions=1, pulse_types=1, chip_time=1.0, noise_sigma=0.7,
+            hop_positions=1, pulse_types=1, chip_time=1.0,
         )
         chan = ChannelRealization(np.array([1.0]), np.array([0.0]))
         v = [composite_waveform(mhp4, chan, np.array([1.0]))]
-        want = 0.7**2 * cfg.frames_per_symbol  # phi_v(0) == pulse energy == 1
+        want = cfg.frames_per_symbol  # phi_v(0) == pulse energy == 1
         assert noise_variance(v, cfg) == pytest.approx(want, rel=1e-9)
 
     def test_matches_monte_carlo(self):
         from mpir.montecarlo import estimate_noise_variance
 
         cfg, pulses, desired, _ = _reference_instance(36)
-        noisy = replace(cfg, noise_sigma=0.8)
         beta = select_combiner(desired, "mrc", "all")
         v = [composite_waveform(p, desired, beta) for p in pulses]
-        closed = noise_variance(v, noisy)
-        est = estimate_noise_variance(noisy, v, 30_000, rng_stream(36, 1))
+        closed = noise_variance(v, cfg)
+        est = estimate_noise_variance(cfg, v, 30_000, rng_stream(36, 1))
         assert est == pytest.approx(closed, rel=0.03)
 
 
 class TestBep:
     def test_zero_signal_gives_half(self):
         cfg, pulses, desired, interferers = _reference_instance(37)
-        noisy = replace(cfg, noise_sigma=1.0)
         beta = select_combiner(desired, "mrc", "all")
         v = [composite_waveform(p, desired, beta) for p in pulses]
         zero_u = [composite_waveform(p, desired, np.zeros(desired.n_paths)) for p in pulses]
-        out = bep_multi(zero_u, v, 0.0, noisy)
+        out = bep_multi(zero_u, v, 0.0, cfg, 1.0)
         assert out.pe == pytest.approx(0.5, abs=1e-12)
 
     def test_awgn_single_path_is_q_of_one(self, mhp4):
         # K=1, sigma=1, one unit path: numerator 1, denominator 1
         cfg = SystemConfig(
             n_users=1, frames_per_symbol=2, chips_per_frame=8,
-            hop_positions=1, pulse_types=1, chip_time=1.0, noise_sigma=1.0,
+            hop_positions=1, pulse_types=1, chip_time=1.0,
         )
         chan = ChannelRealization(np.array([1.0]), np.array([0.0]))
         u = composite_waveform(mhp4, chan, np.array([1.0]))
-        out = bep_single(u, u, [0.0], cfg)
+        out = bep_single(u, u, [0.0], cfg, 1.0)
         assert out.pe == pytest.approx(qfunc(1.0), rel=1e-9)
 
     def test_duplicated_pulse_equals_single(self, mhp4):
@@ -311,8 +308,7 @@ class TestBep:
         # single-pulse expression on the same channel
         cfg2 = SystemConfig(
             n_users=2, frames_per_symbol=2, chips_per_frame=40,
-            hop_positions=3, pulse_types=2, chip_time=1.0, noise_sigma=0.4,
-            interferer_power=5.0,
+            hop_positions=3, pulse_types=2, chip_time=1.0, interferer_power=5.0,
         )
         cfg1 = replace(cfg2, pulse_types=1)
         params = ChannelParams(n_paths=10, decay_rate=0.5, lognorm_var=1.0, mean_arrival=1.5)
@@ -323,8 +319,8 @@ class TestBep:
         u = composite_waveform(mhp4, desired, desired.gains)
         v = composite_waveform(mhp4, desired, beta)
         ui = composite_waveform(mhp4, interferer, interferer.gains)
-        two = bep_multi([u, u], [v, v], mai_variance_multi([[ui, ui]], [v, v], cfg2), cfg2)
-        one = bep_single(u, v, [mai_variance_classical(ui, v, cfg1)], cfg1)
+        two = bep_multi([u, u], [v, v], mai_variance_multi([[ui, ui]], [v, v], cfg2), cfg2, 0.4)
+        one = bep_single(u, v, [mai_variance_classical(ui, v, cfg1)], cfg1, 0.4)
         assert two.pe == pytest.approx(one.pe, rel=1e-12)
 
     def test_monotonicity_in_terms(self):
@@ -339,12 +335,12 @@ class TestBep:
     def test_zero_denominator_rejected(self, mhp4):
         cfg = SystemConfig(
             n_users=1, frames_per_symbol=1, chips_per_frame=8,
-            hop_positions=1, pulse_types=1, chip_time=1.0, noise_sigma=0.0,
+            hop_positions=1, pulse_types=1, chip_time=1.0,
         )
         chan = ChannelRealization(np.array([1.0]), np.array([0.0]))
         u = composite_waveform(mhp4, chan, np.array([1.0]))
         with pytest.raises(DegenerateInputError):
-            bep_single(u, u, [0.0], cfg)
+            bep_single(u, u, [0.0], cfg, 0.0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -356,10 +352,10 @@ class TestBep:
         n_c = int(rng.integers(6, 20))
         n_h = int(rng.integers(1, min(4, n_c)))
         n_f = int(rng.integers(1, 4))
+        sigma = float(rng.uniform(0.05, 1.0))
         cfg = SystemConfig(
             n_users=2, frames_per_symbol=n_f, chips_per_frame=n_c,
-            hop_positions=n_h, pulse_types=1, chip_time=1.0,
-            noise_sigma=float(rng.uniform(0.05, 1.0)), interferer_power=5.0,
+            hop_positions=n_h, pulse_types=1, chip_time=1.0, interferer_power=5.0,
         )
         order = int(rng.integers(0, 6))
         pulse = make_mhp(order, 0.05, DT)
@@ -376,8 +372,8 @@ class TestBep:
         u = composite_waveform(pulse, desired, desired.gains)
         v = composite_waveform(pulse, desired, beta)
         ui = composite_waveform(pulse, interferer, interferer.gains)
-        multi = bep_multi([u], [v], mai_variance_multi([[ui]], [v], cfg), cfg)
-        single = bep_single(u, v, [mai_variance_classical(ui, v, cfg)], cfg)
+        multi = bep_multi([u], [v], mai_variance_multi([[ui]], [v], cfg), cfg, sigma)
+        single = bep_single(u, v, [mai_variance_classical(ui, v, cfg)], cfg, sigma)
         assert multi.pe == pytest.approx(single.pe, rel=1e-12)
         assert multi.signal_term == pytest.approx(single.signal_term, rel=1e-12)
         assert multi.mai_term == pytest.approx(single.mai_term, rel=1e-12)
@@ -405,15 +401,14 @@ class TestConditionalBepTerms:
 class TestBepAveraged:
     def test_single_realization_matches_conditional(self):
         cfg, pulses, desired, interferers = _reference_instance(39, n_interferers=19)
-        noisy = replace(cfg, noise_sigma=0.5)
         params = ChannelParams(n_paths=20, decay_rate=0.5, lognorm_var=1.0, mean_arrival=1.5)
-        out = bep_averaged(noisy, pulses, params, 1, rng_stream(40, 0))
+        out = bep_averaged(cfg, pulses, params, 1, rng_stream(40, 0), [0.5])
         # redraw the same ensemble and evaluate the conditional expression
         rng = rng_stream(40, 0)
-        desired2 = sample_channel(params, noisy, rng)
+        desired2 = sample_channel(params, cfg, rng)
         strong = replace(params, power_scale=5.0)
-        interferers2 = [sample_channel(strong, noisy, rng) for _ in range(19)]
-        sig, mai, energy = conditional_bep_terms(noisy, pulses, desired2, interferers2)
+        interferers2 = [sample_channel(strong, cfg, rng) for _ in range(19)]
+        sig, mai, energy = conditional_bep_terms(cfg, pulses, desired2, interferers2)
         want = qfunc(sig / math.sqrt(mai.total + 0.5**2 * energy))
         assert out.pe[0] == pytest.approx(want, rel=1e-12)
         assert out.stderr[0] == 0.0
@@ -422,12 +417,11 @@ class TestBepAveraged:
         params = ChannelParams(n_paths=6, decay_rate=0.5, lognorm_var=1.0, mean_arrival=1.0)
         cfg = SystemConfig(
             n_users=3, frames_per_symbol=2, chips_per_frame=20,
-            hop_positions=2, pulse_types=2, chip_time=1.0, noise_sigma=0.4,
-            interferer_power=5.0,
+            hop_positions=2, pulse_types=2, chip_time=1.0, interferer_power=5.0,
         )
         pulses = [make_mhp(4, 0.05, DT), make_mhp(5, 0.05, DT)]
-        small = bep_averaged(cfg, pulses, params, 24, rng_stream(41, 0))
-        large = bep_averaged(cfg, pulses, params, 96, rng_stream(41, 1))
+        small = bep_averaged(cfg, pulses, params, 24, rng_stream(41, 0), [0.4])
+        large = bep_averaged(cfg, pulses, params, 96, rng_stream(41, 1), [0.4])
         # ratio should be ~2 = sqrt(96/24); allow wide statistical slack
         assert large.stderr[0] < small.stderr[0]
         assert large.stderr[0] == pytest.approx(small.stderr[0] / 2, rel=0.6)

@@ -47,6 +47,16 @@ def small_raw(**overrides):
     return raw
 
 
+def small_raw_with(*path, value):
+    """small_raw() with the value at ``path`` (keys and list indices) replaced."""
+    raw = small_raw()
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
 def write_config(tmp_path, raw):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(raw))
@@ -231,9 +241,27 @@ class TestMain:
             ("sim", small_raw(sweep_ebn0_db=[0, float("nan")]), []),
             ("bep", small_raw(theory_realizations=0), []),
             ("psd", small_raw(pulses=[{"kind": "mhp", "order": 4, "width_ns": 0.5}] * 2), []),
+            ("psd", small_raw_with("pulses", 0, "order", value="abc"), []),
+            ("psd", small_raw_with("pulses", 0, "width_ns", value="x"), []),
+            ("psd", small_raw_with("psd", "symbols", value="x"), []),
+            ("bep", small_raw_with("combiner", "paths", value="x"), []),
+            ("psd", small_raw(sample_step_ns="x"), []),
+            ("psd", small_raw(sample_step_ns=None), []),
+            ("psd", small_raw_with("psd", "segment_symbols", value=0), []),
+            ("psd", small_raw_with("system", "users", value=1.5), []),
+            ("psd", small_raw_with("system", "users", value=True), []),
+            ("psd", small_raw_with("pulses", 0, "order", value=4.7), []),
+            ("bep", small_raw_with("psd", "symbols", value=0), []),
+            ("psd", small_raw_with("combiner", "scheme", value="zzz"), []),
+            ("sim", small_raw(), ["--threads", "0"]),
+            ("sim", small_raw(), ["--threads", "-1"]),
         ],
         ids=["sim-negative-seed", "psd-negative-seed", "non-numeric-sweep", "nan-sweep",
-             "zero-theory-realizations", "pulse-wider-than-chip"],
+             "zero-theory-realizations", "pulse-wider-than-chip", "string-order", "string-width",
+             "string-psd-symbols", "string-combiner-paths", "string-sample-step",
+             "null-sample-step", "zero-segment-symbols", "fractional-users", "bool-users",
+             "fractional-order", "zero-psd-symbols", "unknown-scheme", "zero-threads",
+             "negative-threads"],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, raw, extra):
         path = write_config(tmp_path, raw)
@@ -241,6 +269,32 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_integer_in_float_key_and_defaults_resolve_as_written(self):
+        raw = small_raw()
+        raw["system"] = {"users": 2, "frames_per_symbol": 2, "chips_per_frame": 20,
+                         "hop_positions": 2, "chip_time_ns": 1}
+        raw["pulses"] = [{"order": 4}, {"order": 5}]
+        raw["trials"] = {"master_seed": 77, "channel_realizations": 4, "bits_per_realization": 60}
+        for key in ("combiner", "sweep_ebn0_db", "theory_realizations", "psd"):
+            del raw[key]
+        cfg = parse_config(raw)
+        assert cfg.system.chip_time == 1
+        want = {
+            "schema": "mpir-experiment/1",
+            "system": {**raw["system"], "interferer_power": 5.0},
+            "pulses": [{"kind": "mhp", "order": 4, "width_ns": 0.05},
+                       {"kind": "mhp", "order": 5, "width_ns": 0.05}],
+            "sample_step_ns": 0.02,
+            "channel": raw["channel"],
+            "combiner": {"scheme": "mrc", "selection": "all", "paths": None},
+            "sweep_ebn0_db": [],
+            "trials": {**raw["trials"], "min_errors": 50, "min_realizations": 1, "max_bits": None},
+            "theory_realizations": 500,
+            "psd": {"symbols": 2000, "segment_symbols": 1},
+        }
+        # compared as JSON text, so 1 and 1.0 differ, as in the output header
+        assert json.dumps(cfg.resolved, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     def test_header_embeds_config_and_seed(self, tmp_path):
         path = write_config(tmp_path, small_raw())

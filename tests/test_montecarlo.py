@@ -32,11 +32,10 @@ from conftest import compose_received, received_block
 DT = 0.02
 
 
-def awgn_config(noise_sigma=1.0):
+def awgn_config():
     return SystemConfig(
         n_users=1, frames_per_symbol=1, chips_per_frame=8,
-        hop_positions=1, pulse_types=1, chip_time=1.0,
-        noise_sigma=noise_sigma, interferer_power=1.0,
+        hop_positions=1, pulse_types=1, chip_time=1.0, interferer_power=1.0,
     )
 
 
@@ -115,9 +114,8 @@ class TestTrialPlan:
 
 class TestRunBer:
     def test_noise_free_single_user_is_error_free(self, mhp4):
-        cfg = awgn_config(noise_sigma=0.0)
         plan = TrialPlan(master_seed=2, n_realizations=2, bits_per_realization=500)
-        est = run_ber(cfg, [mhp4], awgn_channel(), plan)
+        est = run_ber(awgn_config(), [mhp4], awgn_channel(), plan, 0.0)
         assert est.errors == 0
         assert est.ber == 0.0
         assert est.capped  # never reached min_errors
@@ -128,34 +126,34 @@ class TestRunBer:
             master_seed=3, n_realizations=4, bits_per_realization=25_000,
             min_errors=10**9,
         )
-        est = run_ber(awgn_config(1.0), [mhp4], awgn_channel(), plan)
+        est = run_ber(awgn_config(), [mhp4], awgn_channel(), plan, 1.0)
         assert est.bits == 100_000
         lo, hi = est.ci_bounds()
         assert lo <= qfunc(1.0) <= hi
 
     def test_seed_determinism(self, mhp4, reference_channel, reference_config):
-        cfg = replace(reference_config, noise_sigma=0.3, n_users=4)
+        cfg = replace(reference_config, n_users=4)
         pulses = [mhp4, make_mhp(5, 0.05, DT)]
         plan = TrialPlan(master_seed=4, n_realizations=3, bits_per_realization=40,
                          min_errors=10**9)
-        a = run_ber(cfg, pulses, reference_channel, plan)
-        b = run_ber(cfg, pulses, reference_channel, plan)
+        a = run_ber(cfg, pulses, reference_channel, plan, 0.3)
+        b = run_ber(cfg, pulses, reference_channel, plan, 0.3)
         assert a == b
 
     def test_thread_count_does_not_change_result(self, mhp4, reference_channel, reference_config):
-        cfg = replace(reference_config, noise_sigma=0.4, n_users=3)
+        cfg = replace(reference_config, n_users=3)
         pulses = [mhp4, make_mhp(5, 0.05, DT)]
         plan = TrialPlan(master_seed=5, n_realizations=5, bits_per_realization=30,
                          min_errors=20, min_realizations=2)
-        serial = run_ber(cfg, pulses, reference_channel, plan, threads=1)
-        parallel = run_ber(cfg, pulses, reference_channel, plan, threads=3)
+        serial = run_ber(cfg, pulses, reference_channel, plan, 0.4, threads=1)
+        parallel = run_ber(cfg, pulses, reference_channel, plan, 0.4, threads=3)
         assert serial == parallel
 
     def test_early_stop_at_min_errors(self, mhp4):
         # high noise gives ~Q(0.5) errors; min_errors tiny => stops early
         plan = TrialPlan(master_seed=6, n_realizations=50, bits_per_realization=100,
                          min_errors=10, min_realizations=1)
-        est = run_ber(awgn_config(2.0), [mhp4], awgn_channel(), plan)
+        est = run_ber(awgn_config(), [mhp4], awgn_channel(), plan, 2.0)
         assert est.errors >= 10
         assert est.realizations < 50
         assert not est.capped
@@ -163,7 +161,7 @@ class TestRunBer:
     def test_min_realizations_enforced(self, mhp4):
         plan = TrialPlan(master_seed=6, n_realizations=50, bits_per_realization=100,
                          min_errors=10, min_realizations=7)
-        est = run_ber(awgn_config(2.0), [mhp4], awgn_channel(), plan)
+        est = run_ber(awgn_config(), [mhp4], awgn_channel(), plan, 2.0)
         assert est.realizations >= 7
 
 
@@ -182,7 +180,7 @@ class TestRunBerSweep:
                          min_errors=6, min_realizations=2)
         fused = run_ber_sweep(cfg, pulses, reference_channel, plan, self.SIGMAS, threads=threads)
         per_point = [
-            run_ber(replace(cfg, noise_sigma=s), pulses, reference_channel, plan)
+            run_ber(cfg, pulses, reference_channel, plan, s)
             for s in self.SIGMAS
         ]
         assert fused == per_point
@@ -191,7 +189,7 @@ class TestRunBerSweep:
     def test_noise_free_point_is_error_free(self, mhp4):
         plan = TrialPlan(master_seed=2, n_realizations=2, bits_per_realization=500)
         quiet, noisy = run_ber_sweep(awgn_config(), [mhp4], awgn_channel(), plan, [0.0, 2.0])
-        assert quiet == run_ber(awgn_config(0.0), [mhp4], awgn_channel(), plan)
+        assert quiet == run_ber(awgn_config(), [mhp4], awgn_channel(), plan, 0.0)
         assert quiet.errors == 0
         assert quiet.ber == 0.0
         assert quiet.capped
@@ -461,20 +459,19 @@ class TestEstimateMaiVariance:
 
 class TestEstimateNoiseVariance:
     def test_zero_noise(self, mhp4):
-        cfg = awgn_config(0.0)
         from mpir.channel import ChannelRealization, composite_waveform
 
         chan = ChannelRealization(np.array([1.0]), np.array([0.0]))
         v = [composite_waveform(mhp4, chan, np.array([1.0]))]
-        assert estimate_noise_variance(cfg, v, 100, rng_stream(63, 0)) == 0.0
+        assert estimate_noise_variance(awgn_config(), v, 100, rng_stream(63, 0), 0.0) == 0.0
 
     def test_doubling_sigma_quadruples_variance(self, mhp4):
         from mpir.channel import ChannelRealization, composite_waveform
 
         chan = ChannelRealization(np.array([1.0]), np.array([0.0]))
         v = [composite_waveform(mhp4, chan, np.array([1.0]))]
-        a = estimate_noise_variance(awgn_config(0.5), v, 50_000, rng_stream(64, 0))
-        b = estimate_noise_variance(awgn_config(1.0), v, 50_000, rng_stream(64, 0))
+        a = estimate_noise_variance(awgn_config(), v, 50_000, rng_stream(64, 0), 0.5)
+        b = estimate_noise_variance(awgn_config(), v, 50_000, rng_stream(64, 0), 1.0)
         assert b == pytest.approx(4.0 * a, rel=1e-9)  # same noise draws, rescaled
 
     def test_broken_scale_detected(self, mhp4):
@@ -483,7 +480,7 @@ class TestEstimateNoiseVariance:
         from mpir.analysis import noise_variance
         from mpir.channel import ChannelRealization, composite_waveform
 
-        cfg = awgn_config(1.0)
+        cfg = awgn_config()
         chan = ChannelRealization(np.array([1.0]), np.array([0.0]))
         v = [composite_waveform(mhp4, chan, np.array([1.0]))]
         closed = noise_variance(v, cfg)
@@ -494,7 +491,7 @@ class TestEstimateNoiseVariance:
     def _double_pulse_templates(seed):
         cfg, pulses, desired, _ = two_user_instance(seed)
         beta = select_combiner(desired, "mrc", "all")
-        return replace(cfg, noise_sigma=0.7), [composite_waveform(p, desired, beta) for p in pulses]
+        return cfg, [composite_waveform(p, desired, beta) for p in pulses]
 
     @pytest.mark.parametrize("n_trials", [7, 5000])
     def test_draws_only_on_template_support(self, n_trials):
@@ -506,7 +503,7 @@ class TestEstimateNoiseVariance:
         tmpl = rake_template(cfg, generate_codes(cfg, cfg.frames_per_symbol, rng), v, 0)
         support = tmpl.samples[tmpl.samples != 0]
         assert len(support) < len(tmpl.samples)
-        outputs = DT * (cfg.noise_sigma / math.sqrt(DT)) * (
+        outputs = DT / math.sqrt(DT) * (
             rng.standard_normal((n_trials, len(support))) @ support
         )
         assert est == pytest.approx(float(np.var(outputs, ddof=1)), rel=1e-12)

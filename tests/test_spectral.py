@@ -23,7 +23,7 @@ DT = 0.02
 def single_pulse_config(**kw):
     defaults = dict(
         n_users=1, frames_per_symbol=2, chips_per_frame=8,
-        hop_positions=2, pulse_types=1, chip_time=1.0, noise_sigma=0.0,
+        hop_positions=2, pulse_types=1, chip_time=1.0,
     )
     defaults.update(kw)
     return SystemConfig(**defaults)

@@ -35,7 +35,7 @@ DT = 0.02
 def small_config(**kw):
     defaults = dict(
         n_users=1, frames_per_symbol=2, chips_per_frame=8,
-        hop_positions=2, pulse_types=1, chip_time=1.0, noise_sigma=0.0,
+        hop_positions=2, pulse_types=1, chip_time=1.0,
     )
     defaults.update(kw)
     return SystemConfig(**defaults)
@@ -55,8 +55,6 @@ class TestSystemConfig:
             small_config(frames_per_symbol=3, pulse_types=2)  # not a multiple
         with pytest.raises(InvalidParameterError):
             small_config(n_users=0)
-        with pytest.raises(InvalidParameterError):
-            small_config(noise_sigma=-1.0)
 
     def test_pulse_fit_enforced_at_configuration(self, mhp4):
         cfg = small_config(chip_time=0.5)  # pulse spans 0.92 ns > half-ns chip
@@ -201,7 +199,7 @@ class TestRakeTemplateAndDecision:
     def _setup(self, seed=9, n_bits=3):
         cfg = SystemConfig(
             n_users=1, frames_per_symbol=2, chips_per_frame=40,
-            hop_positions=3, pulse_types=2, chip_time=1.0, noise_sigma=0.0,
+            hop_positions=3, pulse_types=2, chip_time=1.0,
         )
         from mpir.pulses import make_mhp
 
