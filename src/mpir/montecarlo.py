@@ -95,7 +95,7 @@ class TrialPlan:
 
     A point is reported once min_errors have accumulated (but never before
     min_realizations channel draws), or when the bit budget runs out.
-    max_bits defaults to n_realizations * bits_per_realization.
+    max_bits (>= 1) defaults to n_realizations * bits_per_realization.
     """
 
     master_seed: int
@@ -110,6 +110,8 @@ class TrialPlan:
             raise InvalidParameterError("realization and bit counts must be >= 1")
         if self.min_errors < 1 or self.min_realizations < 1:
             raise InvalidParameterError("min_errors and min_realizations must be >= 1")
+        if self.max_bits is not None and self.max_bits < 1:
+            raise InvalidParameterError("max_bits must be >= 1 when given")
         if self.master_seed < 0:
             raise InvalidParameterError("master_seed must be a nonnegative integer")
 
@@ -178,9 +180,9 @@ def _add_user(
     chip = config.chip_samples(dt)
     frame = config.frame_samples(dt)
     phis = [[cross_correlation(u, v) for v in templates] for u in u_set]
-    q0s = [[grid_index(-phi.lag0, dt) for phi in row] for row in phis]
+    q0s = [[grid_index(-phi.t0, dt) for phi in row] for row in phis]
     lag_lo = min(-q0 for row in q0s for q0 in row)
-    lag_hi = max(len(phi.values) - q0 for row, q_row in zip(phis, q0s) for phi, q0 in zip(row, q_row))
+    lag_hi = max(len(phi.samples) - q0 for row, q_row in zip(phis, q0s) for phi, q0 in zip(row, q_row))
     # frame distances e whose lags e*T_f + shift + (TH difference)*T_c
     # can land in [lag_lo, lag_hi)
     reach = (config.hop_positions - 1) * chip
@@ -197,7 +199,7 @@ def _add_user(
             m = slice(first + e, f_hi + e, n_p)
             r = (s + e) % n_p
             idx = e * frame + shift + (th[m] - template_th[f]) * chip + q0s[r][s]
-            acc[f] += amps[m] * lookup(phis[r][s].values, idx)
+            acc[f] += amps[m] * lookup(phis[r][s].samples, idx)
 
 
 def _realization_decisions(
@@ -443,10 +445,10 @@ def estimate_mai_variance(
     v = composite_waveform(pulses[frame % n_p], desired_chan, beta)
     u_set = [composite_waveform(p, interferer_chan, interferer_chan.gains) for p in pulses]
     phis = [cross_correlation(u, v) for u in u_set]
-    q0s = [grid_index(-phi.lag0, dt) for phi in phis]
+    q0s = [grid_index(-phi.t0, dt) for phi in phis]
 
     lag_lo = min(-q0 for q0 in q0s)
-    lag_hi = max(len(phi.values) - q0 for phi, q0 in zip(phis, q0s))
+    lag_hi = max(len(phi.samples) - q0 for phi, q0 in zip(phis, q0s))
     m_lo = frame + math.floor((lag_lo - (n_h - 1) * chip - (n_f * frame_len - 1)) / frame_len)
     m_hi = frame + math.ceil((lag_hi + (n_h - 1) * chip) / frame_len)
 
@@ -462,7 +464,7 @@ def estimate_mai_variance(
         c_m = rng.integers(0, n_h, n_samples)
         d_m = rng.integers(0, 2, n_samples) * 2 - 1
         idx = (m - frame) * frame_len + (c_m - c_j) * chip + tau + q0s[r]
-        acc += d_m * sym_bits[math.floor(m / n_f)] * lookup(phis[r].values, idx)
+        acc += d_m * sym_bits[math.floor(m / n_f)] * lookup(phis[r].samples, idx)
     acc *= rng.integers(0, 2, n_samples) * 2 - 1  # template polarity d_j of user 1
     return float(np.var(acc, ddof=1))
 

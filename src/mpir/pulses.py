@@ -1,11 +1,11 @@
 """Sampled waveforms on one time grid: UWB pulse generation, energy
-normalization, cross-correlations and energy spectra.
+normalization and cross-correlations.
 
 Every signal of the package is a ``Waveform``: a uniformly sampled real
 array with its sample step and the time of its first sample.  The
 unit-energy pulses p_j, the channel composites u_j, the RAKE templates
-v_j and the transmitted blocks are all of this one type, and their
-cross-correlations are ``CorrelationFunction`` tables on the same step.
+v_j and the transmitted blocks are all of this one type, and so are
+their cross-correlation tables, on a lag grid of the same step.
 Time is measured in nanoseconds and frequency in gigahertz throughout the
 package, so a unit-energy pulse satisfies dt * sum(samples**2) == 1 with
 dt in ns.
@@ -80,7 +80,8 @@ class Waveform:
     samples : nonempty 1-D array of finite reals
     dt      : sample step (ns)
     t0      : time of the first sample: pulse-local for a pulse or a
-              channel composite, absolute for a block or a template
+              channel composite, absolute for a block or a template,
+              the lag of the first entry for a correlation table
     label   : free-form identifier, e.g. "mhp4"
     """
 
@@ -102,59 +103,15 @@ class Waveform:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
+    # Only benchmarks/tracer.py reads ``values`` (a correlation table's
+    # length); remove it with ROADMAP item 1's benchmark change.
+    @property
+    def values(self) -> np.ndarray:
+        return self.samples
+
     @property
     def energy(self) -> float:
         return float(self.dt * np.sum(self.samples**2))
-
-
-@dataclass(frozen=True, eq=False)
-class CorrelationFunction:
-    """A sampled lag-domain function phi(x) on a uniform lag grid.
-
-    Evaluation outside the stored support returns exactly 0.
-    """
-
-    values: np.ndarray
-    lag_step: float
-    lag0: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if not self.lag_step > 0:
-            raise InvalidParameterError("lag_step must be positive")
-        if not np.all(np.isfinite(values)):
-            raise InvalidParameterError("correlation values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def evaluate(self, lags):
-        """Value at the grid point nearest each lag; 0 outside the support."""
-        out = lookup(self.values, grid_index(np.asarray(lags, dtype=float) - self.lag0, self.lag_step))
-        return float(out) if np.ndim(lags) == 0 else out
-
-    @property
-    def lags(self) -> np.ndarray:
-        return self.lag0 + self.lag_step * np.arange(len(self.values))
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Squared-magnitude Fourier transform |P(f)|^2 on a uniform frequency grid."""
-
-    freqs: np.ndarray
-    magnitude_sq: np.ndarray
-
-    def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=float)
-        mag = np.asarray(self.magnitude_sq, dtype=float)
-        if freqs.shape != mag.shape:
-            raise InvalidParameterError("freqs and magnitude_sq must have equal shape")
-        if np.any(mag < 0):
-            raise InvalidParameterError("magnitude_sq must be nonnegative")
-        freqs.setflags(write=False)
-        mag.setflags(write=False)
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "magnitude_sq", mag)
 
 
 def make_mhp(order: int, tau_p: float, dt: float) -> Waveform:
@@ -213,12 +170,12 @@ def _common_dt(waves) -> float:
     return dt
 
 
-def cross_correlation(a: Waveform, b: Waveform) -> CorrelationFunction:
+def cross_correlation(a: Waveform, b: Waveform) -> Waveform:
     """Cross-correlation phi_ab(x) = integral a(t - x) b(t) dt.
 
     The discrete convolution of the sample arrays scaled by dt, taken by
     FFT on a power-of-two length, on a lag grid of step dt covering the
-    full overlap support.
+    full overlap support; t0 of the result is the lag of its first entry.
     """
     dt = _common_dt((a, b))
     ar = a.samples[::-1]
@@ -227,19 +184,4 @@ def cross_correlation(a: Waveform, b: Waveform) -> CorrelationFunction:
     nfft = 1 << (n - 1).bit_length()
     vals = np.fft.irfft(np.fft.rfft(ar, nfft) * np.fft.rfft(bs, nfft), nfft)[:n] * dt
     lag0 = b.t0 - a.t0 - (len(a.samples) - 1) * dt
-    return CorrelationFunction(vals, dt, lag0)
-
-
-def pulse_spectrum(p: Waveform, n_freq: int) -> Spectrum:
-    """|P(f)|^2 for the discrete-time approximation of the Fourier transform.
-
-    The sample-array DFT is scaled by dt, giving a two-sided spectrum on a
-    frequency grid of spacing 1/(n_freq * dt), returned in ascending order.
-    """
-    if n_freq < len(p.samples):
-        raise InvalidParameterError(
-            f"n_freq={n_freq} must be at least the pulse length {len(p.samples)}"
-        )
-    spec = np.fft.fft(p.samples, n_freq) * p.dt
-    freqs = np.fft.fftshift(np.fft.fftfreq(n_freq, d=p.dt))
-    return Spectrum(freqs, np.fft.fftshift(np.abs(spec) ** 2))
+    return Waveform(vals, dt, lag0)

@@ -1,5 +1,6 @@
-"""Analytic time-average autocorrelation / PSD of the transmitted signal,
-and the empirical periodogram estimate used to verify them.
+"""Pulse energy spectra, the analytic time-average autocorrelation / PSD
+of the transmitted signal, and the empirical periodogram estimate used to
+verify them.  Every frequency-domain quantity is a ``SpectralDensity``.
 
 With per-frame polarity randomization the transmitted signal is zero mean
 and cyclostationary, and its average PSD is simply the average of the
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, InsufficientDataError, InvalidParameterError
-from .pulses import GRID_TOL, CorrelationFunction, Waveform, cross_correlation, pulse_spectrum
+from .pulses import GRID_TOL, Waveform, cross_correlation
 from .transceiver import _check_pulse_set
 
 # samples per FFT chunk in empirical_psd (a 4 MB complex array)
@@ -29,7 +30,8 @@ _CHUNK_SAMPLES = 1 << 18
 
 @dataclass(frozen=True, eq=False)
 class SpectralDensity:
-    """Two-sided power spectral density on a uniform frequency grid (GHz)."""
+    """Two-sided density on a uniform frequency grid (GHz): a power
+    spectral density, or a pulse energy spectrum |P(f)|^2."""
 
     freqs: np.ndarray
     psd: np.ndarray
@@ -47,30 +49,40 @@ class SpectralDensity:
         object.__setattr__(self, "psd", psd)
 
 
-def analytic_autocorrelation(pulses, config) -> CorrelationFunction:
+def pulse_spectrum(p: Waveform, n_freq: int) -> SpectralDensity:
+    """|P(f)|^2 for the discrete-time approximation of the Fourier transform.
+
+    The sample-array DFT is scaled by dt, giving a two-sided spectrum on a
+    frequency grid of spacing 1/(n_freq * dt), returned in ascending order.
+    """
+    if n_freq < len(p.samples):
+        raise InvalidParameterError(
+            f"n_freq={n_freq} must be at least the pulse length {len(p.samples)}"
+        )
+    spec = np.fft.fft(p.samples, n_freq) * p.dt
+    freqs = np.fft.fftshift(np.fft.fftfreq(n_freq, d=p.dt))
+    return SpectralDensity(freqs, np.fft.fftshift(np.abs(spec) ** 2))
+
+
+def analytic_autocorrelation(pulses, config) -> Waveform:
     """(1/(N_p*T_f*N_f)) * sum_l phi_{p_l p_l}(tau) on the common lag grid."""
     dt = _check_pulse_set(pulses, config)
     corrs = [cross_correlation(p, p) for p in pulses]
-    half = max((len(c.values) - 1) // 2 for c in corrs)
+    half = max((len(c.samples) - 1) // 2 for c in corrs)
     total = np.zeros(2 * half + 1)
     for c in corrs:
-        h = (len(c.values) - 1) // 2
-        total[half - h : half + h + 1] += c.values
+        h = (len(c.samples) - 1) // 2
+        total[half - h : half + h + 1] += c.samples
     total /= config.pulse_types * config.frame_time * config.frames_per_symbol
-    return CorrelationFunction(total, dt, -half * dt)
+    return Waveform(total, dt, -half * dt)
 
 
 def analytic_psd(pulses, config, n_freq: int) -> SpectralDensity:
     """Phi_ss(f) = (1/(N_p*T_s)) * sum_l |P_l(f)|^2 on an n_freq-point grid."""
     _check_pulse_set(pulses, config)
-    total = None
-    freqs = None
-    for p in pulses:
-        spec = pulse_spectrum(p, n_freq)
-        total = spec.magnitude_sq if total is None else total + spec.magnitude_sq
-        freqs = spec.freqs
-    total = total / (config.pulse_types * config.symbol_time)
-    return SpectralDensity(freqs, total)
+    spectra = [pulse_spectrum(p, n_freq) for p in pulses]
+    total = sum(spec.psd for spec in spectra) / (config.pulse_types * config.symbol_time)
+    return SpectralDensity(spectra[0].freqs, total)
 
 
 def empirical_psd(

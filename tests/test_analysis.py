@@ -92,7 +92,7 @@ def _windowed_sigma2(u_set, template, j, config):
     tables = []
     for u in u_set:
         phi = cross_correlation(u, template)
-        tables.append((np.concatenate(([0.0], np.cumsum(phi.values**2))), grid_index(-phi.lag0, dt)))
+        tables.append((np.concatenate(([0.0], np.cumsum(phi.samples**2))), grid_index(-phi.t0, dt)))
     total = 0.0
     for m in range(j - n_p, j + 1):
         cs, q0 = tables[m % n_p]

@@ -255,13 +255,15 @@ class TestMain:
             ("psd", small_raw_with("combiner", "scheme", value="zzz"), []),
             ("sim", small_raw(), ["--threads", "0"]),
             ("sim", small_raw(), ["--threads", "-1"]),
+            ("sim", small_raw_with("trials", "max_bits", value=0), []),
+            ("sim", small_raw_with("trials", "max_bits", value=-5), []),
         ],
         ids=["sim-negative-seed", "psd-negative-seed", "non-numeric-sweep", "nan-sweep",
              "zero-theory-realizations", "pulse-wider-than-chip", "string-order", "string-width",
              "string-psd-symbols", "string-combiner-paths", "string-sample-step",
              "null-sample-step", "zero-segment-symbols", "fractional-users", "bool-users",
              "fractional-order", "zero-psd-symbols", "unknown-scheme", "zero-threads",
-             "negative-threads"],
+             "negative-threads", "zero-max-bits", "negative-max-bits"],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, raw, extra):
         path = write_config(tmp_path, raw)

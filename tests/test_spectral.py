@@ -6,7 +6,7 @@ import pytest
 
 from mpir.errors import ConfigMismatchError, GridMismatchError, InsufficientDataError
 from mpir.montecarlo import rng_stream
-from mpir.pulses import Waveform, grid_index, make_mhp
+from mpir.pulses import Waveform, cross_correlation, grid_index, lookup, make_mhp
 from mpir.spectral import (
     SpectralDensity,
     analytic_autocorrelation,
@@ -14,6 +14,7 @@ from mpir.spectral import (
     band_containing,
     empirical_psd,
     psd_mismatch,
+    pulse_spectrum,
 )
 from mpir.transceiver import SystemConfig, generate_codes, transmit_block
 
@@ -38,11 +39,23 @@ def aligned_signal(config, pulses, n_symbols, rng):
     return Waveform(block.samples[trim:], DT, 0.0)
 
 
+class TestSampledTypes:
+    def test_one_sampled_type_per_domain(self, mhp4, mhp5):
+        # lag tables are Waveforms (t0 the first lag), spectra SpectralDensities
+        phi = cross_correlation(mhp4, mhp5)
+        ac = analytic_autocorrelation([mhp4, mhp5], single_pulse_config(pulse_types=2))
+        spec = pulse_spectrum(mhp4, 1024)
+        assert type(phi) is Waveform and type(ac) is Waveform
+        assert type(spec) is SpectralDensity
+        assert phi.t0 == pytest.approx(mhp5.t0 - mhp4.t0 - (len(mhp4.samples) - 1) * DT)
+        assert ac.t0 == pytest.approx(-((len(ac.samples) - 1) // 2) * DT)
+
+
 class TestAnalyticAutocorrelation:
     def test_single_pulse_peak_value(self, mhp4):
         cfg = single_pulse_config()
         ac = analytic_autocorrelation([mhp4], cfg)
-        peak = ac.values[np.argmin(np.abs(ac.lags))]
+        peak = lookup(ac.samples, grid_index(-ac.t0, ac.dt))
         assert peak == pytest.approx(
             1.0 / (cfg.frame_time * cfg.frames_per_symbol), rel=1e-9
         )
@@ -50,7 +63,7 @@ class TestAnalyticAutocorrelation:
     def test_even_in_lag(self, mhp4, mhp5):
         cfg = single_pulse_config(pulse_types=2)
         ac = analytic_autocorrelation([mhp4, mhp5], cfg)
-        assert np.max(np.abs(ac.values - ac.values[::-1])) < 1e-12
+        assert np.max(np.abs(ac.samples - ac.samples[::-1])) < 1e-12
 
     def test_pair_is_mean_of_singles(self, mhp4, mhp5):
         cfg2 = single_pulse_config(pulse_types=2)
@@ -59,20 +72,21 @@ class TestAnalyticAutocorrelation:
         s4 = analytic_autocorrelation([mhp4], cfg1)
         s5 = analytic_autocorrelation([mhp5], cfg1)
 
-        def embed(ac, lags):
-            out = np.zeros(len(lags))
-            half_in = (len(ac.values) - 1) // 2
-            half_out = (len(lags) - 1) // 2
-            out[half_out - half_in : half_out + half_in + 1] = ac.values
+        def embed(ac, n):
+            out = np.zeros(n)
+            half_in = (len(ac.samples) - 1) // 2
+            half_out = (n - 1) // 2
+            out[half_out - half_in : half_out + half_in + 1] = ac.samples
             return out
 
-        want = 0.5 * (embed(s4, pair.lags) + embed(s5, pair.lags))
-        assert np.allclose(pair.values, want, atol=1e-15)
+        n = len(pair.samples)
+        want = 0.5 * (embed(s4, n) + embed(s5, n))
+        assert np.allclose(pair.samples, want, atol=1e-15)
 
     def test_peak_dominates(self, mhp4):
         ac = analytic_autocorrelation([mhp4], single_pulse_config())
-        peak = ac.values[np.argmin(np.abs(ac.lags))]
-        assert np.all(peak >= np.abs(ac.values) - 1e-15)
+        peak = lookup(ac.samples, grid_index(-ac.t0, ac.dt))
+        assert np.all(peak >= np.abs(ac.samples) - 1e-15)
 
     def test_pulse_count_checked(self, mhp4):
         with pytest.raises(ConfigMismatchError):
@@ -87,12 +101,10 @@ class TestAnalyticPsd:
         assert np.sum(sd.psd) * df == pytest.approx(1.0 / cfg.symbol_time, rel=5e-3)
 
     def test_single_pulse_equals_scaled_spectrum(self, mhp4):
-        from mpir.pulses import pulse_spectrum
-
         cfg = single_pulse_config()
         sd = analytic_psd([mhp4], cfg, 1024)
         spec = pulse_spectrum(mhp4, 1024)
-        assert np.allclose(sd.psd, spec.magnitude_sq / cfg.symbol_time, rtol=1e-12)
+        assert np.allclose(sd.psd, spec.psd / cfg.symbol_time, rtol=1e-12)
 
     def test_pair_is_pointwise_mean(self, mhp4, mhp5):
         cfg2 = single_pulse_config(pulse_types=2)
@@ -108,8 +120,8 @@ class TestAnalyticPsd:
         ac = analytic_autocorrelation([mhp4, mhp5], cfg)
         n = 4096
         sd = analytic_psd([mhp4, mhp5], cfg, n)
-        raw = np.fft.fft(ac.values, n) * DT
-        phase = np.exp(-2j * np.pi * np.fft.fftfreq(n, DT) * ac.lags[0])
+        raw = np.fft.fft(ac.samples, n) * DT
+        phase = np.exp(-2j * np.pi * np.fft.fftfreq(n, DT) * ac.t0)
         transformed = np.fft.fftshift((raw * phase).real)
         num = np.sqrt(np.sum((transformed - sd.psd) ** 2))
         den = np.sqrt(np.sum(sd.psd**2))
