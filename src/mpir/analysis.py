@@ -18,6 +18,9 @@ cross-checks in the test suite):
   share it, which makes the single-pulse reduction exact at
   floating-point level.  A geometry outside containment raises
   InfeasibleGeometryError.
+* The RAKE combiner is a SystemConfig setting (scheme, selection,
+  combiner_paths); conditional_bep_terms and bep_averaged build their
+  templates from it with transceiver.rake_composites.
 """
 
 from __future__ import annotations
@@ -199,16 +202,14 @@ def conditional_bep_terms(
     pulses,
     desired_chan,
     interferer_chans,
-    scheme: str = "mrc",
-    selection: str = "all",
-    n_paths: int | None = None,
 ):
-    """(signal, MaiVariance, template-energy) for one set of realizations.
+    """(signal, MaiVariance, template-energy) for one set of realizations,
+    under the RAKE combiner of ``config``.
 
     The noise term for noise amplitude s is s**2 times the returned
     template energy, so a noise sweep can reuse these terms.
     """
-    desired, templates = rake_composites(pulses, desired_chan, scheme, selection, n_paths)
+    desired, templates = rake_composites(pulses, desired_chan, config)
     interferer_sets = [
         [composite_waveform(p, ch, ch.gains) for p in pulses] for ch in interferer_chans
     ]
@@ -226,11 +227,9 @@ def bep_averaged(
     n_realizations: int,
     rng: np.random.Generator,
     noise_sigmas,
-    scheme: str = "mrc",
-    selection: str = "all",
-    n_paths: int | None = None,
 ) -> AveragedBep:
-    """Mean conditional BEP over independent channel draws.
+    """Mean conditional BEP over independent channel draws, under the RAKE
+    combiner of ``config``.
 
     Each realization draws one desired channel from channel_params and
     n_users - 1 interferer channels with power_scale multiplied by
@@ -244,9 +243,7 @@ def bep_averaged(
     mai_out = np.zeros(n_realizations)
     for i in range(n_realizations):
         desired, interferers = draw_channels(channel_params, config, rng, config.n_users - 1)
-        signal, mai, energy = conditional_bep_terms(
-            config, pulses, desired, interferers, scheme, selection, n_paths
-        )
+        signal, mai, energy = conditional_bep_terms(config, pulses, desired, interferers)
         mai_out[i] = mai.output_variance
         denom = mai.total + sigmas**2 * energy
         if np.any(denom <= 0.0):

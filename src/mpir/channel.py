@@ -93,11 +93,11 @@ class ChannelRealization:
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=float)
         delays = np.asarray(self.delays, dtype=float)
-        if gains.shape != delays.shape or gains.ndim != 1:
-            raise InvalidParameterError("gains and delays must be 1-D arrays of equal length")
+        if gains.shape != delays.shape or gains.ndim != 1 or gains.size == 0:
+            raise InvalidParameterError("gains and delays must be nonempty 1-D arrays of equal length")
         if delays[0] != 0.0:
             raise InvalidParameterError("first path must sit at delay 0")
-        if np.any(np.diff(delays) <= 0) and len(delays) > 1:
+        if np.any(np.diff(delays) <= 0):
             raise InvalidParameterError("delays must be strictly increasing")
         gains.setflags(write=False)
         delays.setflags(write=False)
@@ -186,20 +186,15 @@ def composite_waveform(pulse: Waveform, chan: ChannelRealization, weights) -> Wa
 
     Each delay is snapped to the nearest sample-grid point so all later
     correlations are exact discrete sums.  The support is trimmed to the
-    nonzero extent.
+    nonzero extent.  np.add.at applies the updates in index order, so
+    every sample sums its paths in path order.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != chan.gains.shape:
         raise InvalidParameterError("weights must have one entry per channel path")
-    dt = pulse.dt
-    offsets = grid_index(chan.delays, dt).tolist()
-    out = np.zeros(offsets[-1] + len(pulse.samples))
-    for w, k in zip(weights.tolist(), offsets):
-        if w != 0.0:
-            out[k : k + len(pulse.samples)] += w * pulse.samples
-    nz = np.flatnonzero(out)
-    if len(nz) == 0:
-        return Waveform(np.zeros(1), dt, pulse.t0)
-    lead, last = int(nz[0]), int(nz[-1])
-    return Waveform(out[lead : last + 1], dt, pulse.t0 + lead * dt)
+    offsets = grid_index(chan.delays, pulse.dt)
+    n = len(pulse.samples)
+    out = np.zeros(offsets[-1] + n)
+    np.add.at(out, offsets[:, None] + np.arange(n), np.outer(weights, pulse.samples))
+    return Waveform(out, pulse.dt, pulse.t0).trimmed()
 

@@ -136,9 +136,6 @@ class ExperimentConfig:
     pulse_specs: tuple
     sample_step: float
     channel: ChannelParams
-    scheme: str
-    selection: str
-    combiner_paths: int | None
     sweep_ebn0_db: tuple
     plan: TrialPlan
     theory_realizations: int
@@ -175,6 +172,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
             pulse_types=len(resolved["pulses"]),
             chip_time=sys_d["chip_time_ns"],
             interferer_power=sys_d["interferer_power"],
+            scheme=comb_d["scheme"],
+            selection=comb_d["selection"],
+            combiner_paths=comb_d["paths"],
         )
         channel = ChannelParams(
             chan_d["paths"], chan_d["decay_rate"], chan_d["lognorm_var"], chan_d["mean_arrival_ns"]
@@ -194,9 +194,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         pulse_specs=tuple(resolved["pulses"]),
         sample_step=resolved["sample_step_ns"],
         channel=channel,
-        scheme=comb_d["scheme"],
-        selection=comb_d["selection"],
-        combiner_paths=comb_d["paths"],
         sweep_ebn0_db=tuple(resolved["sweep_ebn0_db"]),
         plan=plan,
         theory_realizations=resolved["theory_realizations"],
@@ -284,8 +281,7 @@ def cmd_bep(cfg: ExperimentConfig, out_dir: Path, seed: int) -> Path:
     pulses = cfg.make_pulses()
     sigmas = [ebn0_db_to_noise_sigma(db) for db in cfg.sweep_ebn0_db]
     averaged = analysis.bep_averaged(
-        cfg.system, pulses, cfg.channel, cfg.theory_realizations,
-        rng_stream(seed, 1), sigmas, cfg.scheme, cfg.selection, cfg.combiner_paths,
+        cfg.system, pulses, cfg.channel, cfg.theory_realizations, rng_stream(seed, 1), sigmas
     )
     rows = [
         (float(db), float(pe), float(se))
@@ -311,8 +307,7 @@ def cmd_sim(cfg: ExperimentConfig, out_dir: Path, seed: int, threads: int = 1) -
     plan = replace(cfg.plan, master_seed=seed)
     estimates = montecarlo.run_ber_sweep(
         cfg.system, pulses, cfg.channel, plan,
-        [ebn0_db_to_noise_sigma(db) for db in cfg.sweep_ebn0_db],
-        cfg.scheme, cfg.selection, cfg.combiner_paths, threads=threads,
+        [ebn0_db_to_noise_sigma(db) for db in cfg.sweep_ebn0_db], threads=threads,
     )
     rows = []
     capped_points = []
@@ -356,12 +351,9 @@ def _validate_checks(cfg: ExperimentConfig, seed: int, noise_std_scale: float = 
 
     # 3. per-frame MAI variance: closed form vs brute force
     desired, (interferer,) = draw_channels(cfg.channel, config, rng_stream(seed, 12), 1)
-    _, mai, _ = analysis.conditional_bep_terms(
-        config, pulses, desired, [interferer], cfg.scheme, cfg.selection, cfg.combiner_paths
-    )
+    _, mai, _ = analysis.conditional_bep_terms(config, pulses, desired, [interferer])
     est = montecarlo.estimate_mai_variance(
-        config, pulses, desired, interferer, 0, 200_000, rng_stream(seed, 13),
-        cfg.scheme, cfg.selection, cfg.combiner_paths,
+        config, pulses, desired, interferer, 0, 200_000, rng_stream(seed, 13)
     )
     closed = mai.per_frame[0, 0] / config.hop_positions**2
     rel = abs(est - closed) / closed
@@ -371,8 +363,7 @@ def _validate_checks(cfg: ExperimentConfig, seed: int, noise_std_scale: float = 
 
     # 4. output-noise variance convention, at unit noise amplitude
     rng = rng_stream(seed, 14)
-    received, templates = rake_composites(pulses, desired, cfg.scheme, cfg.selection,
-                                          cfg.combiner_paths)
+    received, templates = rake_composites(pulses, desired, config)
     closed_n = analysis.noise_variance(templates, config)
     est_n = montecarlo.estimate_noise_variance(config, templates, 20_000, rng, noise_std_scale)
     rel_n = abs(est_n - closed_n) / closed_n

@@ -12,10 +12,11 @@ Decisions come from correlation tables, not from sampled received
 signals.  Frames are separable and every offset lies on the sample grid,
 so the noise-free correlator output of each bit is an exact sum of
 lookups in the cross-correlations phi_{u_r v_s} of the users' channel
-composites with the RAKE template composites (the indexing of
-estimate_mai_variance).  These clean outputs equal, up to the order of
-summation, the correlation of each bit's rake_template with the sampled
-sum of the users' blocks, the sample-level reference the tests keep.
+composites with the RAKE template composites, built under the combiner
+the SystemConfig carries (the indexing of estimate_mai_variance).  These
+clean outputs equal, up to the order of summation, the correlation of
+each bit's rake_template with the sampled sum of the users' blocks, the
+sample-level reference the tests keep.
 
 The noise is not sampled.  Under frame containment each template frame's
 support lies inside its own frame, so the bits' templates project
@@ -40,6 +41,7 @@ to the counted one.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -51,14 +53,7 @@ from .analysis import noise_variance, qfunc
 from .channel import ChannelParams, ChannelRealization, composite_waveform, draw_channels
 from .errors import InvalidParameterError
 from .pulses import cross_correlation, grid_index, lookup
-from .transceiver import (
-    SystemConfig,
-    _check_frame_separable,
-    generate_codes,
-    rake_composites,
-    rake_template,
-    select_combiner,
-)
+from .transceiver import SystemConfig, _check_frame_separable, generate_codes, rake_composites, rake_template
 
 _ROLE_CHANNEL = 0
 _ROLE_TRAFFIC = 1
@@ -209,17 +204,15 @@ def _realization_decisions(
     n_bits: int,
     master_seed: int,
     index: int,
-    scheme: str,
-    selection: str,
-    n_paths: int | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(bits, D, N, E_N) of realization ``index``: the transmitted bits,
     the per-bit clean correlator outputs, the unit-noise projections and
     their variance.
 
     D is the correlation of the noise-free received signal with each bit's
-    RAKE template, summed from cross-correlation lookups frame by frame
-    (_add_user); no waveform longer than one composite is built.
+    RAKE template (the combiner of ``config``), summed from
+    cross-correlation lookups frame by frame (_add_user); no waveform
+    longer than one composite is built.
     E_N = (N_f / N_p) * sum_j E(v_j) (analysis.noise_variance) is the
     energy of one bit's template.
     N is sqrt(E_N) times one standard normal per bit from the noise
@@ -236,7 +229,7 @@ def _realization_decisions(
         config, channel_params, master_seed, index
     )
 
-    desired, templates = rake_composites(pulses, desired_chan, scheme, selection, n_paths)
+    desired, templates = rake_composites(pulses, desired_chan, config)
     _check_frame_separable(desired, config, dt)
     _check_frame_separable(templates, config, dt)
 
@@ -269,9 +262,6 @@ def _sweep_errors(
     n_bits: int,
     master_seed: int,
     noise_sigmas: tuple[float, ...],
-    scheme: str,
-    selection: str,
-    n_paths: int | None,
     index: int,
 ) -> tuple[tuple[int, float], ...]:
     """(bit errors, mean conditional error probability) of realization
@@ -289,7 +279,7 @@ def _sweep_errors(
     BER can be refined with more bits on the same channel draw.
     """
     bits, clean, unit_noise, noise_energy = _realization_decisions(
-        config, pulses, channel_params, n_bits, master_seed, index, scheme, selection, n_paths
+        config, pulses, channel_params, n_bits, master_seed, index
     )
     margin = clean * bits
     out = []
@@ -327,9 +317,6 @@ def run_ber_sweep(
     channel_params: ChannelParams,
     plan: TrialPlan,
     noise_sigmas,
-    scheme: str = "mrc",
-    selection: str = "all",
-    n_paths: int | None = None,
     threads: int = 1,
 ) -> list[BerEstimate]:
     """Waveform-level BER of the user of interest at each noise amplitude.
@@ -346,11 +333,12 @@ def run_ber_sweep(
     rule used of their mean conditional error probability given D, with
     the standard error of that mean.
 
-    Realizations run in waves of max(1, threads), in process for one
-    thread and on a process pool otherwise.  Each point applies the stop
-    rule to its own errors, scanning realizations in index order; waves
-    continue until every point has stopped.  The estimate at a point is
-    the one run_ber gives for that noise_sigma, at any thread count.
+    Realizations run in waves of min(threads, CPU count, n_realizations)
+    (at least one), in process for a wave of one and on a process pool
+    otherwise.  Each point applies the stop rule to its own errors,
+    scanning realizations in index order; waves continue until every
+    point has stopped.  The estimate at a point is the one run_ber gives
+    for that noise_sigma, at any thread count.
     """
     sigmas = tuple(float(s) for s in noise_sigmas)
     if not sigmas:
@@ -358,15 +346,12 @@ def run_ber_sweep(
     if not all(s >= 0 and math.isfinite(s) for s in sigmas):
         raise InvalidParameterError(f"noise amplitudes must be finite and nonnegative, got {sigmas}")
     n_bits = plan.bits_per_realization
-    worker = partial(
-        _sweep_errors, config, pulses, channel_params, n_bits, plan.master_seed, sigmas,
-        scheme, selection, n_paths,
-    )
+    worker = partial(_sweep_errors, config, pulses, channel_params, n_bits, plan.master_seed, sigmas)
 
     def point_scan(k: int, rows) -> tuple[int, int, int]:
         return _scan_stop(((row[k][0], n_bits) for row in rows), plan)
 
-    wave = max(1, threads)
+    wave = max(1, min(threads, os.cpu_count() or 1, plan.n_realizations))
     collected: list[tuple[tuple[int, float], ...]] = []
     with ProcessPoolExecutor(max_workers=wave) if wave > 1 else nullcontext() as pool:
         run_wave = pool.map if pool else map
@@ -397,19 +382,13 @@ def run_ber(
     channel_params: ChannelParams,
     plan: TrialPlan,
     noise_sigma: float,
-    scheme: str = "mrc",
-    selection: str = "all",
-    n_paths: int | None = None,
     threads: int = 1,
 ) -> BerEstimate:
     """Waveform-level BER of the user of interest at noise amplitude
     ``noise_sigma``: the one-point sweep run_ber_sweep(..., [noise_sigma],
     ...)[0].  Deterministic for a fixed plan at any thread count.
     """
-    return run_ber_sweep(
-        config, pulses, channel_params, plan, [noise_sigma],
-        scheme, selection, n_paths, threads,
-    )[0]
+    return run_ber_sweep(config, pulses, channel_params, plan, [noise_sigma], threads)[0]
 
 
 def estimate_mai_variance(
@@ -420,17 +399,14 @@ def estimate_mai_variance(
     frame: int,
     n_samples: int,
     rng: np.random.Generator,
-    scheme: str = "mrc",
-    selection: str = "all",
-    n_paths: int | None = None,
 ) -> float:
     """Brute-force variance of the per-frame MAI sample.
 
     Draws random codes, bits and an asynchronous offset, evaluates the
-    interferer's contribution to frame ``frame`` of the desired user
-    directly from the cross-correlation functions, and returns the sample
-    variance.  This is the waveform-free oracle for the closed-form
-    per-frame MAI variance.
+    interferer's contribution to frame ``frame`` of the desired user's
+    RAKE template (the combiner of ``config``) directly from the
+    cross-correlation functions, and returns the sample variance.  This
+    is the waveform-free oracle for the closed-form per-frame MAI variance.
     """
     if n_samples < 2:
         raise InvalidParameterError("n_samples must be >= 2")
@@ -441,8 +417,7 @@ def estimate_mai_variance(
     chip = config.chip_samples(dt)
     frame_len = config.frame_samples(dt)
 
-    beta = select_combiner(desired_chan, scheme, selection, n_paths)
-    v = composite_waveform(pulses[frame % n_p], desired_chan, beta)
+    v = rake_composites(pulses, desired_chan, config)[1][frame % n_p]
     u_set = [composite_waveform(p, interferer_chan, interferer_chan.gains) for p in pulses]
     phis = [cross_correlation(u, v) for u in u_set]
     q0s = [grid_index(-phi.t0, dt) for phi in phis]

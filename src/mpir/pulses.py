@@ -113,6 +113,15 @@ class Waveform:
     def energy(self) -> float:
         return float(self.dt * np.sum(self.samples**2))
 
+    def trimmed(self) -> Waveform:
+        """This waveform cut to its nonzero samples; an all-zero waveform
+        becomes one zero sample at t0."""
+        nz = np.flatnonzero(self.samples)
+        if len(nz) == 0:
+            return Waveform(np.zeros(1), self.dt, self.t0, self.label)
+        lead, last = int(nz[0]), int(nz[-1])
+        return Waveform(self.samples[lead : last + 1], self.dt, self.t0 + lead * self.dt, self.label)
+
 
 def make_mhp(order: int, tau_p: float, dt: float) -> Waveform:
     """Unit-energy modified Hermite pulse of the given order.

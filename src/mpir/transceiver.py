@@ -20,7 +20,7 @@ from .channel import ChannelRealization, composite_waveform
 from .errors import ConfigMismatchError, InfeasibleGeometryError, InvalidParameterError
 from .pulses import GRID_TOL, Waveform, _common_dt, grid_count, grid_index
 
-# RAKE combining schemes and path selections select_combiner accepts
+# RAKE combining schemes and path selections SystemConfig and select_combiner accept
 SCHEMES = ("mrc", "egc")
 SELECTIONS = ("all", "partial", "selective")
 
@@ -36,6 +36,9 @@ class SystemConfig:
     pulse_types      : N_p, distinct pulse shapes cycled across frames
     chip_time        : T_c in ns
     interferer_power : received-energy ratio interferer/desired
+    scheme           : RAKE combining, one of SCHEMES (select_combiner)
+    selection        : RAKE path selection, one of SELECTIONS
+    combiner_paths   : paths a partial or selective RAKE combines
     """
 
     n_users: int
@@ -45,6 +48,9 @@ class SystemConfig:
     pulse_types: int
     chip_time: float
     interferer_power: float = 5.0
+    scheme: str = "mrc"
+    selection: str = "all"
+    combiner_paths: int | None = None
 
     def __post_init__(self):
         for name in ("n_users", "frames_per_symbol", "chips_per_frame", "hop_positions", "pulse_types"):
@@ -58,6 +64,12 @@ class SystemConfig:
             raise InvalidParameterError("chip_time must be positive")
         if not self.interferer_power > 0:
             raise InvalidParameterError("interferer_power must be positive")
+        if self.scheme not in SCHEMES:
+            raise InvalidParameterError(f"unknown combining scheme {self.scheme!r}")
+        if self.selection not in SELECTIONS:
+            raise InvalidParameterError(f"unknown path selection {self.selection!r}")
+        if self.selection != "all" and (self.combiner_paths is None or self.combiner_paths < 1):
+            raise InvalidParameterError(f"selection {self.selection!r} needs combiner_paths >= 1")
 
     @property
     def frame_time(self) -> float:
@@ -186,19 +198,16 @@ def select_combiner(
 
 
 def rake_composites(
-    pulses,
-    chan: ChannelRealization,
-    scheme: str = "mrc",
-    selection: str = "all",
-    n_paths: int | None = None,
+    pulses, chan: ChannelRealization, config: SystemConfig
 ) -> tuple[list[Waveform], list[Waveform]]:
     """(desired, templates): each pulse's received composite over ``chan``
-    and its RAKE template composite under the select_combiner weights.
+    and its RAKE template composite under the select_combiner weights of
+    the combiner ``config`` sets.
 
     Under mrc over all paths the weights are the channel gains, and one
     list serves as both.
     """
-    beta = select_combiner(chan, scheme, selection, n_paths)
+    beta = select_combiner(chan, config.scheme, config.selection, config.combiner_paths)
     desired = [composite_waveform(p, chan, chan.gains) for p in pulses]
     if np.array_equal(beta, chan.gains):
         return desired, desired
@@ -273,12 +282,7 @@ def rake_template(config: SystemConfig, codes: CodeSequences, combined, bit_inde
         codes.polarity[lo:hi].astype(float),
         first_frame=lo,
     )
-    nz = np.flatnonzero(block.samples)
-    if len(nz) == 0:
-        return block
-    return Waveform(
-        block.samples[nz[0] : nz[-1] + 1], block.dt, block.t0 + int(nz[0]) * block.dt
-    )
+    return block.trimmed()
 
 
 def decision_statistic(received: Waveform, template: Waveform) -> float:

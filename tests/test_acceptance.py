@@ -128,7 +128,7 @@ def sweep_experiment(config_double, config_single, channel_params, pulses):
         below = np.argsort(cond)[: n_used // 2]
         errors = sum(
             montecarlo._sweep_errors(cfg, pset, channel_params, 1200, SIM_SEED, (sigma_top,),
-                                     "mrc", "all", None, int(r))[0][0]
+                                     int(r))[0][0]
             for r in below
         )
         bits = 1200 * len(below)

@@ -391,8 +391,8 @@ class TestConditionalBepTerms:
         u = [composite_waveform(p, desired, desired.gains) for p in pulses]
         v = [composite_waveform(p, desired, beta) for p in pulses]
         sets = [[composite_waveform(p, ch, ch.gains) for p in pulses] for ch in interferers]
-        sig, mai, energy = conditional_bep_terms(cfg, pulses, desired, interferers,
-                                                 scheme, selection, n_paths)
+        combiner = replace(cfg, scheme=scheme, selection=selection, combiner_paths=n_paths)
+        sig, mai, energy = conditional_bep_terms(combiner, pulses, desired, interferers)
         assert sig == sum(decision_statistic(a, b) for a, b in zip(u, v)) / math.sqrt(2)
         assert np.array_equal(mai.per_frame, mai_variance_multi(sets, v, cfg).per_frame)
         assert energy == sum(w.energy for w in v)

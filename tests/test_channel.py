@@ -90,6 +90,19 @@ class TestMeanLogGain:
             mean_log_gain(reference_channel, -1)
 
 
+class TestChannelRealization:
+    def test_rules(self):
+        ChannelRealization(np.array([1.0, -0.5]), np.array([0.0, 0.3]))
+        for gains, delays in (
+            ([], []),  # no path
+            ([1.0, 0.5], [0.0]),  # mismatched shapes
+            ([1.0, 0.5], [0.1, 0.3]),  # first path not at delay 0
+            ([1.0, 0.5, 0.2], [0.0, 0.3, 0.3]),  # delays not increasing
+        ):
+            with pytest.raises(InvalidParameterError):
+                ChannelRealization(np.array(gains), np.array(delays))
+
+
 class TestSampleChannel:
     def test_mean_energy_near_one(self, reference_channel, reference_config):
         rng = rng_stream(77, 0)

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -211,9 +212,9 @@ def _on_window(wave, start, n):
     return out
 
 
-def reference_decisions(config, pulses, channel_params, n_bits, seed, index,
-                        scheme, selection, n_paths):
-    """(bits, D, N, E) of one realization from the sample-level waveform path.
+def reference_decisions(config, pulses, channel_params, n_bits, seed, index):
+    """(bits, D, N, E) of one realization from the sample-level waveform path,
+    under the RAKE combiner of ``config``.
 
     Every block is assembled sample by sample (conftest.received_block),
     the users are added on the receiver's clock (compose_received) and
@@ -229,7 +230,7 @@ def reference_decisions(config, pulses, channel_params, n_bits, seed, index,
     sym = config.symbol_samples(dt)
     rng_tr = rng_stream(seed, index, montecarlo._ROLE_TRAFFIC)
     desired_chan, interferer_chans = realization_channels(config, channel_params, seed, index)
-    beta = select_combiner(desired_chan, scheme, selection, n_paths)
+    beta = select_combiner(desired_chan, config.scheme, config.selection, config.combiner_paths)
     desired = [composite_waveform(p, desired_chan, desired_chan.gains) for p in pulses]
     templates = [composite_waveform(p, desired_chan, beta) for p in pulses]
 
@@ -288,18 +289,19 @@ class TestTableEngine:
 
     @pytest.mark.parametrize("n_p,n_f,n_h,users,scheme,selection", CASES)
     def test_decisions_match_waveform_path(self, n_p, n_f, n_h, users, scheme, selection):
+        n_paths = None if selection == "all" else 3
         config = SystemConfig(
             n_users=users, frames_per_symbol=n_f, chips_per_frame=40, hop_positions=n_h,
             pulse_types=n_p, chip_time=1.0, interferer_power=5.0,
+            scheme=scheme, selection=selection, combiner_paths=n_paths,
         )
         pulses = [make_mhp(order, 0.05, DT) for order in (4, 5, 3)[:n_p]]
-        n_paths = None if selection == "all" else 3
         seed, n_bits = 11, 12
         indices = [0, 1]
         if selection == "selective":
             indices.append(_first_path_dropped(config, self.CHANNEL, seed, scheme, n_paths))
         for index in indices:
-            args = (config, pulses, self.CHANNEL, n_bits, seed, index, scheme, selection, n_paths)
+            args = (config, pulses, self.CHANNEL, n_bits, seed, index)
             bits, clean, unit_noise, noise_energy = montecarlo._realization_decisions(*args)
             ref_bits, ref_clean, _, ref_energy = reference_decisions(*args)
             assert np.array_equal(bits, ref_bits)
@@ -312,8 +314,7 @@ class TestTableEngine:
                 int(np.count_nonzero((clean + s * unit_noise) * bits <= 0)) for s in self.SIGMAS
             )
             swept = montecarlo._sweep_errors(
-                config, pulses, self.CHANNEL, n_bits, seed, self.SIGMAS,
-                scheme, selection, n_paths, index,
+                config, pulses, self.CHANNEL, n_bits, seed, self.SIGMAS, index
             )
             assert tuple(errors for errors, _ in swept) == counts
 
@@ -327,7 +328,7 @@ class TestTableEngine:
         )
         drawn, projected = [], []
         for index in range(8):
-            args = (config, [mhp4, mhp5], self.CHANNEL, 250, 13, index, "mrc", "all", None)
+            args = (config, [mhp4, mhp5], self.CHANNEL, 250, 13, index)
             _, _, unit_noise, noise_energy = montecarlo._realization_decisions(*args)
             _, _, ref_noise, ref_energy = reference_decisions(*args)
             drawn.append(unit_noise / math.sqrt(noise_energy))
@@ -428,9 +429,37 @@ class TestSweepProperties:
                          bits_per_realization=20, min_errors=min_errors,
                          min_realizations=min_realizations)
         sigmas = [0.0, 0.3, 1.0]
-        serial = run_ber_sweep(cfg, pulses, channel, plan, sigmas, threads=1)
-        parallel = run_ber_sweep(cfg, pulses, channel, plan, sigmas, threads=2)
-        assert serial == parallel
+        # the combiner is part of the config, so it must cross the process pool
+        for config in (cfg, replace(cfg, scheme="egc", selection="partial", combiner_paths=3)):
+            serial = run_ber_sweep(config, pulses, channel, plan, sigmas, threads=1)
+            parallel = run_ber_sweep(config, pulses, channel, plan, sigmas, threads=2)
+            assert serial == parallel
+
+    def test_waves_never_exceed_the_cpu_count(self, mhp4, monkeypatch):
+        # a huge --threads must not fork one interpreter per thread; the
+        # pool is replaced by an in-process fake, so no process starts
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        plan = TrialPlan(master_seed=31, n_realizations=4, bits_per_realization=20,
+                         min_errors=10**9)
+        sigmas = [0.5, 1.0]
+        one = run_ber_sweep(awgn_config(), [mhp4], awgn_channel(), plan, sigmas, threads=1)
+        many = run_ber_sweep(awgn_config(), [mhp4], awgn_channel(), plan, sigmas, threads=10**6)
+        assert all(n <= (os.cpu_count() or 1) for n in asked), asked
+        assert many == one
 
 
 class TestEstimateMaiVariance:

@@ -53,7 +53,7 @@ def calls():
     channel = ChannelParams(n_paths=4, decay_rate=0.5, lognorm_var=1.0, mean_arrival=1.5)
     rng = np.random.default_rng(7)
     codes = generate_codes(config, 8, rng)
-    _, templates = rake_composites(pulses, sample_channel(channel, config, rng))
+    _, templates = rake_composites(pulses, sample_channel(channel, config, rng), config)
     block = transmit_block(config, pulses, np.ones(4), codes)
     sym = config.frame_samples(0.02) * config.frames_per_symbol
     plan = TrialPlan(master_seed=1, n_realizations=1, bits_per_realization=4, min_errors=1)

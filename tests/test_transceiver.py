@@ -55,6 +55,13 @@ class TestSystemConfig:
             small_config(frames_per_symbol=3, pulse_types=2)  # not a multiple
         with pytest.raises(InvalidParameterError):
             small_config(n_users=0)
+        with pytest.raises(InvalidParameterError):
+            small_config(scheme="zzz")
+        with pytest.raises(InvalidParameterError):
+            small_config(selection="zzz")
+        for paths in (None, 0):
+            with pytest.raises(InvalidParameterError):
+                small_config(selection="partial", combiner_paths=paths)
 
     def test_pulse_fit_enforced_at_configuration(self, mhp4):
         cfg = small_config(chip_time=0.5)  # pulse spans 0.92 ns > half-ns chip
