@@ -38,6 +38,7 @@ from .pulses import make_mhp
 from .transceiver import (
     SCHEMES,
     SELECTIONS,
+    CodeSequences,
     SystemConfig,
     check_pulse_fits,
     generate_codes,
@@ -235,20 +236,45 @@ def _write_rows(path: Path, header: str, columns: str, rows) -> None:
             fh.write("\n")
 
 
-def _psd_experiment(cfg: ExperimentConfig, pulses, n_sym: int, rng: np.random.Generator):
+def _psd_experiment(cfg: ExperimentConfig, pulses, n_sym: int, segment_symbols: int,
+                    rng: np.random.Generator):
     """(analytic, empirical, band, mismatch) for n_sym random symbols of the
-    noise-free single-user signal.
+    noise-free single-user signal, in periodogram segments of
+    segment_symbols symbols.
 
-    The transmitted block starts at the earliest pulse sample of frame 0,
-    so every periodogram segment is symbol-aligned.
+    All bits and codes are drawn first.  The block is then assembled and
+    transformed one piece of whole segments (about spectral._CHUNK_SAMPLES
+    samples) at a time and never held whole; symbols no segment uses are
+    not assembled.  Each piece starts at the earliest pulse sample of its
+    first frame, so every segment is symbol-aligned.  A pulse filling a
+    whole chip at the last hop position ends one sample past its frame;
+    such a sample past a piece's last segment is carried into the next
+    piece, so the segments equal those of the whole block.
     """
     config = cfg.system
+    nf = config.frames_per_symbol
     sym = config.symbol_samples(cfg.sample_step)
-    seg_len = cfg.psd_segment_symbols * sym
+    seg_len = segment_symbols * sym
+    n_seg = n_sym // segment_symbols
+    n_used = n_seg * segment_symbols
     bits = rng.integers(0, 2, n_sym) * 2 - 1
-    codes = generate_codes(config, n_sym * config.frames_per_symbol, rng)
-    block = transmit_block(config, pulses, bits, codes)
-    empirical = spectral.empirical_psd(block, seg_len, n_sym // cfg.psd_segment_symbols, symbol_samples=sym)
+    codes = generate_codes(config, n_sym * nf, rng)
+    step = max(1, spectral._CHUNK_SAMPLES // seg_len) * segment_symbols
+
+    def pieces():
+        carry = np.zeros(0)
+        for a in range(0, n_used, step):
+            b = min(a + step, n_used)
+            f = slice(a * nf, b * nf)
+            piece = transmit_block(config, pulses, bits[a:b], CodeSequences(codes.th[f], codes.polarity[f]))
+            if carry.any():
+                samples = piece.samples.copy()
+                samples[: len(carry)] += carry
+                piece = replace(piece, samples=samples)
+            carry = piece.samples[(b - a) * sym :].copy()
+            yield piece
+
+    empirical = spectral.empirical_psd(pieces(), seg_len, n_seg, symbol_samples=sym)
     analytic = spectral.analytic_psd(pulses, config, seg_len)
     band = spectral.band_containing(analytic, 0.99)
     return analytic, empirical, band, spectral.psd_mismatch(analytic, empirical, band)
@@ -257,7 +283,9 @@ def _psd_experiment(cfg: ExperimentConfig, pulses, n_sym: int, rng: np.random.Ge
 def cmd_psd(cfg: ExperimentConfig, out_dir: Path, seed: int) -> Path:
     """Analytic vs empirical PSD of the noise-free single-user signal."""
     pulses = cfg.make_pulses()
-    analytic, empirical, band, mismatch = _psd_experiment(cfg, pulses, cfg.psd_symbols, rng_stream(seed, 0))
+    analytic, empirical, band, mismatch = _psd_experiment(
+        cfg, pulses, cfg.psd_symbols, cfg.psd_segment_symbols, rng_stream(seed, 0)
+    )
 
     sel = analytic.freqs >= 0.0
     rows = []
@@ -334,9 +362,10 @@ def _validate_checks(cfg: ExperimentConfig, seed: int, noise_std_scale: float = 
     pulses = cfg.make_pulses()
     config = cfg.system
 
-    # 1. analytic vs empirical PSD; 800 one-symbol segments put the
-    # periodogram noise floor near 3%, well under the 5% gate
-    *_, mism = _psd_experiment(cfg, pulses, 800, rng_stream(seed, 10))
+    # 1. analytic vs empirical PSD; 800 one-symbol segments, whatever
+    # psd.segment_symbols says, put the periodogram noise floor near 3%,
+    # well under the 5% gate
+    *_, mism = _psd_experiment(cfg, pulses, 800, 1, rng_stream(seed, 10))
     yield "psd analytic/empirical mismatch <= 0.05", mism <= 0.05, f"measured {mism:.4f}"
 
     # 2. channel energy normalization

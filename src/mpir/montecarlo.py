@@ -456,7 +456,9 @@ def estimate_noise_variance(
 
     Each trial draws one N(0, 1/dt) sample per nonzero sample of the
     bit's RAKE template; the noise on the template's exact zeros adds
-    exactly 0 to the correlator, so it is not drawn.
+    exactly 0 to the correlator, so it is not drawn.  Trials are drawn in
+    rows of a buffer of at most 2^18 doubles (2 MB); Philox normals do not
+    depend on how the draws are split, so the estimate does not either.
 
     ``noise_std_scale`` deliberately mis-scales the per-sample noise
     standard deviation; it exists so a broken discretization convention
@@ -470,7 +472,7 @@ def estimate_noise_variance(
     t = tmpl.samples[np.flatnonzero(tmpl.samples)]
     scale = noise_std_scale / math.sqrt(dt)
     outputs = np.empty(n_trials)
-    chunk = max(1, min(n_trials, (1 << 22) // max(1, len(t))))
+    chunk = max(1, min(n_trials, (1 << 18) // max(1, len(t))))
     noise = np.empty((chunk, len(t)))
     done = 0
     while done < n_trials:

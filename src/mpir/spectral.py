@@ -9,9 +9,11 @@ pulse energy spectra divided by the symbol time:
     Phi_ss(f) = (1 / (N_p * T_s)) * sum_l |P_l(f)|^2.
 
 The empirical estimator averages rectangular-window periodograms over
-non-overlapping, symbol-aligned segments; with that alignment the
-estimator is unbiased at every frequency, so analytic and empirical
-curves may be compared bin by bin.
+non-overlapping, symbol-aligned segments (Welch's estimator without
+overlap or taper); with that alignment the estimator is unbiased at every
+frequency, so analytic and empirical curves may be compared bin by bin.
+It takes its input one piece of whole segments at a time, so a long
+block need never be held whole.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .errors import GridMismatchError, InsufficientDataError, InvalidParameterEr
 from .pulses import GRID_TOL, Waveform, cross_correlation
 from .transceiver import _check_pulse_set
 
-# samples per FFT chunk in empirical_psd (a 4 MB complex array)
+# samples per FFT chunk of empirical_psd (its complex work array is 4 MB)
+# and per block piece of the PSD experiment (cli._psd_experiment)
 _CHUNK_SAMPLES = 1 << 18
 
 
@@ -86,38 +89,61 @@ def analytic_psd(pulses, config, n_freq: int) -> SpectralDensity:
 
 
 def empirical_psd(
-    signal: Waveform, segment_len: int, n_segments: int, symbol_samples: int | None = None
+    signal, segment_len: int, n_segments: int, symbol_samples: int | None = None
 ) -> SpectralDensity:
     """Average of per-segment rectangular-window periodograms.
 
-    Segments of ``signal`` are consecutive and non-overlapping; each
-    periodogram is |dt * DFT|^2 / segment_duration.  When
+    ``signal`` is one ``Waveform`` or an iterable of consecutive
+    ``Waveform`` pieces on one sample grid.  Each piece contributes its
+    whole segments, consecutive and non-overlapping from its first
+    sample, until n_segments are taken; the rest of a piece is ignored.
+    Each periodogram is |dt * DFT|^2 / segment_duration.  When
     ``symbol_samples`` is given the segment length must be a whole number
     of symbol periods, which is what makes the estimator unbiased for a
-    cyclostationary input.  Segments are transformed a chunk at a time,
-    so the working memory stays a few MB whatever the signal length, and
-    their periodograms are added in segment order.
+    cyclostationary input.  Segments are transformed a chunk at a time in
+    work arrays allocated once, so the working memory stays a few MB
+    whatever the signal length, and their periodograms are added in
+    segment order.
     """
-    samples = signal.samples
-    dt = signal.dt
     if segment_len < 2 or n_segments < 1:
         raise InvalidParameterError("segment_len >= 2 and n_segments >= 1 required")
     if symbol_samples is not None and segment_len % symbol_samples != 0:
         raise InvalidParameterError(
             f"segment_len={segment_len} is not a multiple of the symbol length {symbol_samples}"
         )
-    if len(samples) < segment_len * n_segments:
-        raise InsufficientDataError(
-            f"signal has {len(samples)} samples, need {segment_len * n_segments}"
-        )
-    duration = segment_len * dt
-    segs = samples[: segment_len * n_segments].reshape(n_segments, segment_len)
-    chunk = max(1, _CHUNK_SAMPLES // segment_len)
+    pieces = (signal,) if isinstance(signal, Waveform) else signal
+    chunk = min(n_segments, max(1, _CHUNK_SAMPLES // segment_len))
+    spec = np.empty((chunk, segment_len), dtype=complex)
+    power = np.empty((chunk, segment_len))
     total = np.zeros(segment_len)
-    for start in range(0, n_segments, chunk):
-        spectra = np.abs(np.fft.fft(segs[start : start + chunk], axis=1) * dt) ** 2 / duration
-        for row in spectra:
-            total += row
+    dt = None
+    done = 0
+    for piece in pieces:
+        if dt is None:
+            dt = piece.dt
+            duration = segment_len * dt
+        elif abs(piece.dt - dt) > GRID_TOL * dt:
+            raise GridMismatchError(f"pieces on different sample steps: {dt} vs {piece.dt}")
+        rows = min(len(piece.samples) // segment_len, n_segments - done)
+        segs = piece.samples[: rows * segment_len].reshape(rows, segment_len)
+        for start in range(0, rows, chunk):
+            m = min(chunk, rows - start)
+            sp, pw = spec[:m], power[:m]
+            sp[...] = segs[start : start + m]  # fft would cast a complex copy
+            np.fft.fft(sp, axis=1, out=sp)
+            sp *= dt
+            np.abs(sp, out=pw)
+            pw **= 2
+            pw /= duration
+            for row in pw:
+                total += row
+        done += rows
+        if done == n_segments:
+            break
+    if done < n_segments:
+        raise InsufficientDataError(
+            f"signal holds {done} whole segments of {segment_len} samples, need {n_segments}"
+        )
     psd = total / n_segments
     freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, d=dt))
     return SpectralDensity(freqs, np.fft.fftshift(psd))

@@ -214,6 +214,21 @@ class TestCmdValidate:
         assert "[FAIL] noise variance" in out
 
 
+    def test_psd_check_ignores_segment_symbols(self, tmp_path, capsys):
+        # check 1 always takes 800 one-symbol segments; segment_symbols
+        # above 800 used to leave it no segment at all (exit 2)
+        raw = json.loads((Path(__file__).parent / "golden" / "config.json").read_text())
+        check1 = []
+        for segment_symbols in (1, 1000):
+            raw["psd"] = {"symbols": 2000, "segment_symbols": segment_symbols}
+            out = tmp_path / str(segment_symbols)
+            out.mkdir()
+            argv = ["validate", "--config", str(write_config(out, raw)), "--out", str(out), "--seed", "5"]
+            code = main(argv)
+            assert code in (0, 1), capsys.readouterr().err
+            check1.append([line for line in capsys.readouterr().out.splitlines() if "] psd " in line])
+        assert len(check1[0]) == 1 and check1[0] == check1[1]
+
 class TestMain:
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["sim", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])

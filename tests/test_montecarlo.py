@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -549,6 +550,18 @@ class TestEstimateNoiseVariance:
         want = estimate_noise_variance(cfg, v, 3000, rng_stream(67, 1))
         assert estimate_noise_variance(cfg, padded, 3000, rng_stream(67, 1)) == want
 
+
+    def test_draw_buffer_is_capped(self):
+        # tracemalloc counts numpy's buffers; a 20,000-trial estimate used
+        # to fill one 4M-double (32 MB) buffer
+        cfg, v = self._double_pulse_templates(68)
+        tracemalloc.start()
+        try:
+            estimate_noise_variance(cfg, v, 20_000, rng_stream(68, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 class TestBerEstimate:
     def test_fields_consistent(self):

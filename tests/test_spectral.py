@@ -1,9 +1,11 @@
 import math
-from dataclasses import replace
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mpir import cli, spectral
 from mpir.errors import ConfigMismatchError, GridMismatchError, InsufficientDataError
 from mpir.montecarlo import rng_stream
 from mpir.pulses import Waveform, cross_correlation, grid_index, lookup, make_mhp
@@ -17,6 +19,8 @@ from mpir.spectral import (
     pulse_spectrum,
 )
 from mpir.transceiver import SystemConfig, generate_codes, transmit_block
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 DT = 0.02
 
@@ -173,6 +177,95 @@ class TestEmpiricalPsd:
         sig = Waveform(np.zeros(4000), DT, 0.0)
         with pytest.raises(InvalidParameterError):
             empirical_psd(sig, 300, 2, symbol_samples=400)
+
+
+def pieces_of(sig, seg_len, per_piece, tail=0):
+    """``sig`` cut into consecutive pieces of per_piece whole segments,
+    each followed by ``tail`` samples of the next piece (ignored)."""
+    n = len(sig.samples)
+    step = per_piece * seg_len
+    return [Waveform(sig.samples[a : min(n, a + step + tail)], DT, 0.0) for a in range(0, n, step)]
+
+
+def whole_block_psd(cfg, pulses, n_sym, segment_symbols, rng):
+    """empirical_psd of the whole transmitted block, in _psd_experiment's draw order."""
+    config = cfg.system
+    sym = config.symbol_samples(DT)
+    bits = rng.integers(0, 2, n_sym) * 2 - 1
+    codes = generate_codes(config, n_sym * config.frames_per_symbol, rng)
+    block = transmit_block(config, pulses, bits, codes)
+    return empirical_psd(block, segment_symbols * sym, n_sym // segment_symbols, symbol_samples=sym)
+
+
+class TestStreamedPsd:
+    @pytest.mark.parametrize("n_p", [1, 2])
+    @pytest.mark.parametrize("segment_symbols", [1, 3])
+    @pytest.mark.parametrize("per_piece", [1, 7, 65])
+    def test_pieces_equal_one_block(self, mhp4, mhp5, monkeypatch, n_p, segment_symbols, per_piece):
+        # 150 segments: the last piece is short for 7 and 65 segments a piece
+        cfg = single_pulse_config(pulse_types=n_p)
+        sym = cfg.symbol_samples(DT)
+        seg_len = segment_symbols * sym
+        sig = aligned_signal(cfg, [mhp4, mhp5][:n_p], 150 * segment_symbols, rng_stream(23, n_p))
+        whole = empirical_psd(sig, seg_len, 150, symbol_samples=sym)
+        streamed = empirical_psd(iter(pieces_of(sig, seg_len, per_piece)), seg_len, 150, sym)
+        assert np.array_equal(streamed.psd, whole.psd)
+        assert np.array_equal(streamed.freqs, whole.freqs)
+        # FFT chunks of 3 segments split a piece; a partial segment at the
+        # end of a piece is not used
+        monkeypatch.setattr(spectral, "_CHUNK_SAMPLES", 3 * seg_len)
+        tailed = empirical_psd(pieces_of(sig, seg_len, per_piece, tail=seg_len // 2), seg_len, 150, sym)
+        assert np.array_equal(tailed.psd, whole.psd)
+
+    def test_too_few_whole_segments(self):
+        # two pieces of 1.5 segments hold two whole segments, not three
+        pieces = [Waveform(np.ones(600), DT, 0.0), Waveform(np.ones(600), DT, 0.0)]
+        assert np.all(empirical_psd(iter(pieces), 400, 2).psd >= 0)
+        with pytest.raises(InsufficientDataError):
+            empirical_psd(iter(pieces), 400, 3)
+
+    def test_psd_experiment_equals_whole_block(self):
+        # the shipped double-pulse experiment, streamed as cli runs it
+        cfg = cli.load_config(CONFIGS / "twenty_user_double_pulse.json")
+        pulses = cfg.make_pulses()
+        _, streamed, _, _ = cli._psd_experiment(cfg, pulses, cfg.psd_symbols, 1, rng_stream(3, 0))
+        whole = whole_block_psd(cfg, pulses, cfg.psd_symbols, 1, rng_stream(3, 0))
+        assert np.array_equal(streamed.psd, whole.psd)
+
+    def test_psd_experiment_carries_a_pulse_across_pieces(self):
+        # a pulse filling a whole chip at the last hop position ends one
+        # sample past its frame; that sample belongs to the next segment,
+        # which may begin the next piece
+        raw = {
+            "schema": "mpir-experiment/1",
+            "system": {"users": 1, "frames_per_symbol": 2, "chips_per_frame": 3,
+                       "hop_positions": 3, "chip_time_ns": 0.92},
+            "pulses": [{"order": 5, "width_ns": 0.05}],
+            "sample_step_ns": DT,
+            "channel": {"paths": 2, "decay_rate": 0.5, "lognorm_var": 1.0, "mean_arrival_ns": 1.5},
+            "trials": {"master_seed": 1, "channel_realizations": 1, "bits_per_realization": 1},
+            "psd": {"symbols": 4000, "segment_symbols": 1},
+        }
+        cfg = cli.parse_config(raw)
+        pulses = cfg.make_pulses()
+        assert len(pulses[0].samples) == cfg.system.chip_samples(DT) + 1
+        n_sym = 4000  # five pieces
+        _, streamed, _, _ = cli._psd_experiment(cfg, pulses, n_sym, 1, rng_stream(5, 0))
+        whole = whole_block_psd(cfg, pulses, n_sym, 1, rng_stream(5, 0))
+        assert np.array_equal(streamed.psd, whole.psd)
+
+    def test_psd_experiment_memory_is_bounded(self):
+        # tracemalloc counts numpy's buffers; the whole 2,000-symbol block
+        # alone is 64 MB
+        cfg = cli.load_config(CONFIGS / "twenty_user_double_pulse.json")
+        pulses = cfg.make_pulses()
+        tracemalloc.start()
+        try:
+            cli._psd_experiment(cfg, pulses, 2000, 1, rng_stream(1, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestCyclostationarity:

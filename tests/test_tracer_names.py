@@ -17,7 +17,9 @@ from mpir.channel import sample_channel
 from mpir.montecarlo import estimate_noise_variance, run_ber
 from mpir.pulses import cross_correlation
 from mpir.spectral import empirical_psd
-from mpir.transceiver import _assemble, generate_codes, rake_composites, rake_template, transmit_block
+from mpir.transceiver import (
+    CodeSequences, _assemble, generate_codes, rake_composites, rake_template, transmit_block,
+)
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -54,15 +56,20 @@ def calls():
     rng = np.random.default_rng(7)
     codes = generate_codes(config, 8, rng)
     _, templates = rake_composites(pulses, sample_channel(channel, config, rng), config)
-    block = transmit_block(config, pulses, np.ones(4), codes)
-    sym = config.frame_samples(0.02) * config.frames_per_symbol
+    nf = config.frames_per_symbol
+    sym = config.frame_samples(0.02) * nf
+    # cli streams the PSD block to empirical_psd as a generator of pieces
+    pieces = (
+        transmit_block(config, pulses, np.ones(1), CodeSequences(codes.th[f : f + nf], codes.polarity[f : f + nf]))
+        for f in (0, nf)
+    )
     plan = TrialPlan(master_seed=1, n_realizations=1, bits_per_realization=4, min_errors=1)
     return {
         "montecarlo.run_ber": (run_ber, (config, pulses, channel, plan, 0.5)),
         "transceiver._assemble": (_assemble, (config, pulses, codes.th, codes.polarity.astype(float))),
         "pulses.cross_correlation": (cross_correlation, (pulses[0], pulses[1])),
         "montecarlo.estimate_noise_variance": (estimate_noise_variance, (config, templates, 10, rng)),
-        "spectral.empirical_psd": (empirical_psd, (block, sym, 2)),
+        "spectral.empirical_psd": (empirical_psd, (pieces, sym, 2)),
         "montecarlo.rake_template": (rake_template, (config, codes, templates, 0)),
     }
 
