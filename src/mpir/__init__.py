@@ -8,7 +8,7 @@ RAKE detection), analysis (closed-form MAI/noise/BEP), montecarlo
 (correlation-table BER and oracle estimators), cli (batch experiments).
 """
 
-from .analysis import BepResult, MaiVariance, bep_averaged, bep_multi, bep_single, qfunc
+from .analysis import MaiVariance, bep_averaged, bep_single, qfunc, sga_bep
 from .channel import ChannelParams, ChannelRealization, composite_waveform, sample_channel, sample_channels
 from .montecarlo import BerEstimate, TrialPlan, rng_stream, run_ber, run_ber_sweep
 from .pulses import Waveform, cross_correlation, make_mhp, normalize_energy

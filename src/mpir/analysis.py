@@ -21,6 +21,9 @@ cross-checks in the test suite):
 * The RAKE combiner is a SystemConfig setting (scheme, selection,
   combiner_paths); conditional_bep_terms and bep_averaged build their
   templates from it with transceiver.rake_composites.
+* sga_bep is the one evaluation of Q(signal / sqrt(mai + s^2 energy)).
+  bep_averaged runs conditional_bep_terms then sga_bep per realization;
+  bep_single is the classical reference that path reduces to at N_p = 1.
 """
 
 from __future__ import annotations
@@ -138,52 +141,29 @@ def noise_variance(templates, config: SystemConfig) -> float:
     return config.frames_per_symbol / config.pulse_types * energy
 
 
-@dataclass(frozen=True)
-class BepResult:
-    """One conditional bit-error-probability evaluation.
+def sga_bep(signal: float, mai: float, energy: float, noise_sigmas):
+    """Standard-Gaussian-approximation BEP at each noise amplitude s:
+    Q(signal / sqrt(mai + s^2 * energy)).
 
-    signal_term is the numerator, mai_term and noise_term the two
-    denominator variance contributions, pe = Q(signal / sqrt(mai + noise)).
+    ``mai`` is the (1/(N_f N_h^2))-scaled MAI sum (MaiVariance.total) and
+    ``energy`` the template energy sum_j phi_{v_j}(0), so s^2 * energy is the
+    noise term.  A scalar s gives a float; an array gives an array of the
+    same shape, equal bit for bit to the scalar calls.
     """
-
-    signal_term: float
-    mai_term: float
-    noise_term: float
-    pe: float
-
-
-def _bep_from_terms(signal: float, mai: float, noise: float) -> BepResult:
-    denom = mai + noise
-    if denom <= 0.0:
+    denom = mai + np.square(noise_sigmas) * energy
+    if np.any(denom <= 0.0):
         raise DegenerateInputError("BEP denominator is zero: no interference and no noise")
-    return BepResult(signal, mai, noise, qfunc(signal / math.sqrt(denom)))
+    return qfunc(signal / np.sqrt(denom))
 
 
-def bep_multi(desired, templates, mai, config: SystemConfig, noise_sigma: float) -> BepResult:
-    """Approximate BEP of the N_p-pulse system, conditioned on the channels.
-
-    pe = Q( (1/sqrt N_p) sum_j phi_{u_j v_j}(0)
-            / sqrt(mai_total + noise_sigma^2 sum_j phi_{v_j}(0)) ),
-    with mai_total the (1/(N_f N_h^2))-scaled sum from mai_variance_multi.
-    """
-    n_p = config.pulse_types
-    if len(desired) != n_p or len(templates) != n_p:
-        raise ConfigMismatchError(f"need {n_p} desired composites and templates")
-    signal = sum(decision_statistic(u, v) for u, v in zip(desired, templates)) / math.sqrt(n_p)
-    mai_term = float(mai.total) if isinstance(mai, MaiVariance) else float(mai)
-    noise_term = noise_sigma**2 * sum(v.energy for v in templates)
-    return _bep_from_terms(signal, mai_term, noise_term)
-
-
-def bep_single(u, v, interferer_variances, config: SystemConfig, noise_sigma: float) -> BepResult:
-    """Single-pulse BEP:
+def bep_single(u, v, interferer_variances, config: SystemConfig, noise_sigma: float) -> float:
+    """Classical single-pulse BEP, the reference the N_p = 1 case of the
+    multi-pulse expression reduces to:
     pe = Q( phi_uv(0) / sqrt((1/(N_f N_h^2)) sum_k sigma2_M(k)
                              + noise_sigma^2 phi_v(0)) )."""
-    signal = decision_statistic(u, v)
     var_sum = float(np.sum(np.asarray(interferer_variances, dtype=float)))
-    mai_term = var_sum / (config.frames_per_symbol * config.hop_positions**2)
-    noise_term = noise_sigma**2 * v.energy
-    return _bep_from_terms(signal, mai_term, noise_term)
+    mai = var_sum / (config.frames_per_symbol * config.hop_positions**2)
+    return sga_bep(decision_statistic(u, v), mai, v.energy, noise_sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,10 +225,7 @@ def bep_averaged(
         desired, interferers = draw_channels(channel_params, config, rng, config.n_users - 1)
         signal, mai, energy = conditional_bep_terms(config, pulses, desired, interferers)
         mai_out[i] = mai.output_variance
-        denom = mai.total + sigmas**2 * energy
-        if np.any(denom <= 0.0):
-            raise DegenerateInputError("BEP denominator is zero")
-        pes[i] = qfunc(signal / np.sqrt(denom))
+        pes[i] = sga_bep(signal, mai.total, energy, sigmas)
     pe = pes.mean(axis=0)
     stderr = (
         pes.std(axis=0, ddof=1) / math.sqrt(n_realizations)

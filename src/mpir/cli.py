@@ -357,7 +357,7 @@ def cmd_sim(cfg: ExperimentConfig, out_dir: Path, seed: int, threads: int = 1) -
     return out
 
 
-def _validate_checks(cfg: ExperimentConfig, seed: int, noise_std_scale: float = 1.0):
+def _validate_checks(cfg: ExperimentConfig, seed: int):
     """Run the oracle suite on a reduced budget; yield (name, ok, detail)."""
     pulses = cfg.make_pulses()
     config = cfg.system
@@ -373,8 +373,7 @@ def _validate_checks(cfg: ExperimentConfig, seed: int, noise_std_scale: float = 
     n_draws = 20000
     for scale, label in ((1.0, "desired"), (config.interferer_power, "interferer")):
         params = replace(cfg.channel, power_scale=scale)
-        gains, _ = sample_channels(params, config, rng, n_draws)
-        mean_e = float(np.mean(np.sum(gains**2, axis=1)))
+        mean_e = float(np.mean(np.sum(sample_channels(params, config, rng, n_draws)[0] ** 2, axis=1)))
         ok = abs(mean_e / scale - 1.0) <= 0.05
         yield f"channel mean energy ({label}) within 5%", ok, f"measured {mean_e:.4f}, target {scale}"
 
@@ -394,30 +393,28 @@ def _validate_checks(cfg: ExperimentConfig, seed: int, noise_std_scale: float = 
     rng = rng_stream(seed, 14)
     received, templates = rake_composites(pulses, desired, config)
     closed_n = analysis.noise_variance(templates, config)
-    est_n = montecarlo.estimate_noise_variance(config, templates, 20_000, rng, noise_std_scale)
+    est_n = montecarlo.estimate_noise_variance(config, templates, 20_000, rng)
     rel_n = abs(est_n - closed_n) / closed_n
     yield "noise variance closed form vs Monte Carlo within 5%", rel_n <= 0.05, (
         f"closed {closed_n:.5g}, mc {est_n:.5g}, rel {rel_n:.4f}"
     )
 
-    # 5. single-pulse reduction identity
+    # 5. single-pulse reduction identity: mpir bep's path at N_p = 1 vs the classical form
     single = replace(config, pulse_types=1)
-    u0 = received[0]
-    v0 = templates[0]
+    signal, mai, energy = analysis.conditional_bep_terms(single, pulses[:1], desired, [interferer])
+    multi = analysis.sga_bep(signal, mai.total, energy, 0.3)
     u_int = composite_waveform(pulses[0], interferer, interferer.gains)
-    multi = analysis.bep_multi(
-        [u0], [v0], analysis.mai_variance_multi([[u_int]], [v0], single), single, 0.3
-    )
-    one = analysis.bep_single(u0, v0, [analysis.mai_variance_classical(u_int, v0, single)], single, 0.3)
-    diff = abs(multi.pe - one.pe) / max(one.pe, 1e-300)
+    v0 = templates[0]
+    one = analysis.bep_single(received[0], v0, [analysis.mai_variance_classical(u_int, v0, single)], single, 0.3)
+    diff = abs(multi - one) / max(one, 1e-300)
     yield "single-pulse reduction identity <= 1e-12", diff <= 1e-12, f"relative diff {diff:.2e}"
 
 
-def cmd_validate(cfg: ExperimentConfig, out_dir: Path, seed: int, noise_std_scale: float = 1.0) -> int:
+def cmd_validate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
     """Run the oracle suite, print one pass/fail line per check."""
     failures = 0
     lines = []
-    for name, ok, detail in _validate_checks(cfg, seed, noise_std_scale):
+    for name, ok, detail in _validate_checks(cfg, seed):
         status = "PASS" if ok else "FAIL"
         line = f"[{status}] {name}: {detail}"
         lines.append(line)

@@ -59,8 +59,6 @@ _ROLE_CHANNEL = 0
 _ROLE_TRAFFIC = 1
 _ROLE_NOISE = 2
 
-_Z95 = 1.959963984540054
-
 
 def rng_stream(master_seed: int, *path: int) -> np.random.Generator:
     """Independent Philox stream for the given (seed, path) key."""
@@ -68,19 +66,20 @@ def rng_stream(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def wilson_bounds(errors: int, bits: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_bounds(errors: int, bits: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if bits < 1:
         raise InvalidParameterError("bits must be >= 1")
     p = errors / bits
+    z = 1.959963984540054  # two-sided 95% standard normal quantile
     denom = 1.0 + z**2 / bits
     center = (p + z**2 / (2 * bits)) / denom
     half = z * math.sqrt(p * (1 - p) / bits + z**2 / (4 * bits**2)) / denom
     return center - half, center + half
 
 
-def wilson_halfwidth(errors: int, bits: int, z: float = _Z95) -> float:
-    lo, hi = wilson_bounds(errors, bits, z)
+def wilson_halfwidth(errors: int, bits: int) -> float:
+    lo, hi = wilson_bounds(errors, bits)
     return 0.5 * (hi - lo)
 
 
@@ -449,7 +448,6 @@ def estimate_noise_variance(
     templates,
     n_trials: int,
     rng: np.random.Generator,
-    noise_std_scale: float = 1.0,
 ) -> float:
     """Sample variance of the correlator output under a noise-only input of
     unit amplitude.
@@ -459,10 +457,6 @@ def estimate_noise_variance(
     exactly 0 to the correlator, so it is not drawn.  Trials are drawn in
     rows of a buffer of at most 2^18 doubles (2 MB); Philox normals do not
     depend on how the draws are split, so the estimate does not either.
-
-    ``noise_std_scale`` deliberately mis-scales the per-sample noise
-    standard deviation; it exists so a broken discretization convention
-    can be demonstrated to fail the validation checks.
     """
     if n_trials < 2:
         raise InvalidParameterError("n_trials must be >= 2")
@@ -470,7 +464,7 @@ def estimate_noise_variance(
     codes = generate_codes(config, config.frames_per_symbol, rng)
     tmpl = rake_template(config, codes, templates, 0)
     t = tmpl.samples[np.flatnonzero(tmpl.samples)]
-    scale = noise_std_scale / math.sqrt(dt)
+    scale = 1 / math.sqrt(dt)
     outputs = np.empty(n_trials)
     chunk = max(1, min(n_trials, (1 << 18) // max(1, len(t))))
     noise = np.empty((chunk, len(t)))

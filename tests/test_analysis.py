@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from mpir.analysis import (
     bep_averaged,
-    bep_multi,
     bep_single,
     conditional_bep_terms,
     mai_variance_classical,
     mai_variance_multi,
     noise_variance,
     qfunc,
+    sga_bep,
 )
 from mpir.channel import ChannelParams, ChannelRealization, composite_waveform, sample_channel
 from mpir.errors import DegenerateInputError, InfeasibleGeometryError
@@ -289,8 +289,8 @@ class TestBep:
         beta = select_combiner(desired, "mrc", "all")
         v = [composite_waveform(p, desired, beta) for p in pulses]
         zero_u = [composite_waveform(p, desired, np.zeros(desired.n_paths)) for p in pulses]
-        out = bep_multi(zero_u, v, 0.0, cfg, 1.0)
-        assert out.pe == pytest.approx(0.5, abs=1e-12)
+        signal = sum(decision_statistic(u, w) for u, w in zip(zero_u, v))
+        assert sga_bep(signal, 0.0, sum(w.energy for w in v), 1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_awgn_single_path_is_q_of_one(self, mhp4):
         # K=1, sigma=1, one unit path: numerator 1, denominator 1
@@ -300,8 +300,7 @@ class TestBep:
         )
         chan = ChannelRealization(np.array([1.0]), np.array([0.0]))
         u = composite_waveform(mhp4, chan, np.array([1.0]))
-        out = bep_single(u, u, [0.0], cfg, 1.0)
-        assert out.pe == pytest.approx(qfunc(1.0), rel=1e-9)
+        assert bep_single(u, u, [0.0], cfg, 1.0) == pytest.approx(qfunc(1.0), rel=1e-9)
 
     def test_duplicated_pulse_equals_single(self, mhp4):
         # N_p = 2 with the same pulse in both slots reduces to the
@@ -319,18 +318,18 @@ class TestBep:
         u = composite_waveform(mhp4, desired, desired.gains)
         v = composite_waveform(mhp4, desired, beta)
         ui = composite_waveform(mhp4, interferer, interferer.gains)
-        two = bep_multi([u, u], [v, v], mai_variance_multi([[ui, ui]], [v, v], cfg2), cfg2, 0.4)
+        signal, mai, energy = conditional_bep_terms(cfg2, [mhp4, mhp4], desired, [interferer])
+        two = sga_bep(signal, mai.total, energy, 0.4)
         one = bep_single(u, v, [mai_variance_classical(ui, v, cfg1)], cfg1, 0.4)
-        assert two.pe == pytest.approx(one.pe, rel=1e-12)
+        assert two == pytest.approx(one, rel=1e-12)
 
     def test_monotonicity_in_terms(self):
-        base = dict(signal=0.8, mai=0.05, noise=0.02)
-        from mpir.analysis import _bep_from_terms
-
-        pe0 = _bep_from_terms(base["signal"], base["mai"], base["noise"]).pe
-        assert _bep_from_terms(base["signal"] * 1.05, base["mai"], base["noise"]).pe < pe0
-        assert _bep_from_terms(base["signal"], base["mai"] * 1.2, base["noise"]).pe > pe0
-        assert _bep_from_terms(base["signal"], base["mai"], base["noise"] * 1.2).pe > pe0
+        signal, mai, energy, sigma = 0.8, 0.05, 0.02, 1.0
+        pe0 = sga_bep(signal, mai, energy, sigma)
+        assert sga_bep(signal * 1.05, mai, energy, sigma) < pe0
+        assert sga_bep(signal, mai * 1.2, energy, sigma) > pe0
+        assert sga_bep(signal, mai, energy * 1.2, sigma) > pe0
+        assert sga_bep(signal, mai, energy, sigma * 1.1) > pe0
 
     def test_zero_denominator_rejected(self, mhp4):
         cfg = SystemConfig(
@@ -372,11 +371,45 @@ class TestBep:
         u = composite_waveform(pulse, desired, desired.gains)
         v = composite_waveform(pulse, desired, beta)
         ui = composite_waveform(pulse, interferer, interferer.gains)
-        multi = bep_multi([u], [v], mai_variance_multi([[ui]], [v], cfg), cfg, sigma)
-        single = bep_single(u, v, [mai_variance_classical(ui, v, cfg)], cfg, sigma)
-        assert multi.pe == pytest.approx(single.pe, rel=1e-12)
-        assert multi.signal_term == pytest.approx(single.signal_term, rel=1e-12)
-        assert multi.mai_term == pytest.approx(single.mai_term, rel=1e-12)
+        signal, mai, energy = conditional_bep_terms(cfg, [pulse], desired, [interferer])
+        sigma2 = mai_variance_classical(ui, v, cfg)
+        single = bep_single(u, v, [sigma2], cfg, sigma)
+        assert sga_bep(signal, mai.total, energy, sigma) == pytest.approx(single, rel=1e-12)
+        assert signal == pytest.approx(decision_statistic(u, v), rel=1e-12)
+        assert mai.total == pytest.approx(sigma2 / (n_f * n_h**2), rel=1e-12)
+
+
+class TestSgaBep:
+    SIGMAS = np.array([0.05, 0.3, 0.5, 1.0 / 3.0, 0.9, 2.5])
+
+    def test_array_equals_scalar_calls_bit_for_bit(self):
+        cfg, pulses, desired, interferers = _reference_instance(43, n_interferers=3)
+        signal, mai, energy = conditional_bep_terms(cfg, pulses, desired, interferers)
+        out = sga_bep(signal, mai.total, energy, self.SIGMAS)
+        one_by_one = [sga_bep(signal, mai.total, energy, float(s)) for s in self.SIGMAS]
+        assert all(type(pe) is float for pe in one_by_one)
+        assert out.shape == self.SIGMAS.shape
+        assert out.tolist() == one_by_one
+
+    @pytest.mark.parametrize("at", [0, 3, 5])
+    def test_zero_denominator_at_any_sigma_rejected(self, at):
+        sigmas = self.SIGMAS.copy()
+        sigmas[at] = 0.0
+        with pytest.raises(DegenerateInputError):
+            sga_bep(0.7, 0.0, 1.3, sigmas)
+
+    def test_bep_averaged_rejects_a_noise_free_point_without_mai(self):
+        # one user, so no interferer and a zero MAI term: sigma = 0 leaves
+        # the denominator at exactly zero
+        cfg = SystemConfig(
+            n_users=1, frames_per_symbol=2, chips_per_frame=20,
+            hop_positions=2, pulse_types=2, chip_time=1.0,
+        )
+        params = ChannelParams(n_paths=4, decay_rate=0.5, lognorm_var=1.0, mean_arrival=1.0)
+        pulses = [make_mhp(4, 0.05, DT), make_mhp(5, 0.05, DT)]
+        bep_averaged(cfg, pulses, params, 2, rng_stream(44, 0), [0.5, 0.2])
+        with pytest.raises(DegenerateInputError):
+            bep_averaged(cfg, pulses, params, 2, rng_stream(44, 0), [0.5, 0.0])
 
 
 class TestConditionalBepTerms:
@@ -409,8 +442,7 @@ class TestBepAveraged:
         strong = replace(params, power_scale=5.0)
         interferers2 = [sample_channel(strong, cfg, rng) for _ in range(19)]
         sig, mai, energy = conditional_bep_terms(cfg, pulses, desired2, interferers2)
-        want = qfunc(sig / math.sqrt(mai.total + 0.5**2 * energy))
-        assert out.pe[0] == pytest.approx(want, rel=1e-12)
+        assert out.pe[0] == pytest.approx(sga_bep(sig, mai.total, energy, 0.5), rel=1e-12)
         assert out.stderr[0] == 0.0
 
     def test_stderr_shrinks_with_n(self):

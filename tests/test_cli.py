@@ -1,13 +1,16 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mpir import montecarlo
 from mpir.analysis import qfunc
 from mpir.cli import (
     ConfigError,
+    _validate_checks,
     cmd_bep,
     cmd_psd,
     cmd_sim,
@@ -206,13 +209,35 @@ class TestCmdValidate:
         assert out.count("[PASS]") >= 5
         assert (tmp_path / "validate.txt").exists()
 
-    def test_broken_noise_convention_fails(self, tmp_path, capsys):
+    def test_broken_noise_convention_fails(self, tmp_path, capsys, monkeypatch):
+        # a noise estimator whose per-sample standard deviation is 1.3x too
+        # large returns 1.3^2 times the variance; check 4 must catch it
+        true_estimate = montecarlo.estimate_noise_variance
+        monkeypatch.setattr(montecarlo, "estimate_noise_variance",
+                            lambda *args: 1.3**2 * true_estimate(*args))
         cfg = load_config(write_config(tmp_path, small_raw()))
-        code = cmd_validate(cfg, tmp_path, seed=11, noise_std_scale=1.3)
+        code = cmd_validate(cfg, tmp_path, seed=11)
         out = capsys.readouterr().out
         assert code == 1
         assert "[FAIL] noise variance" in out
 
+    def test_channel_draws_freed_after_check_two(self):
+        # check 2's 20,000 x 20 channel draw (6.4 MB of gains and delays)
+        # must not stay bound through checks 3-5: their traced peak is
+        # 19.5 MB without it and 22.7 MB with it
+        cfg = load_config(Path(__file__).parents[1] / "configs" / "twenty_user_double_pulse.json")
+        checks = _validate_checks(cfg, seed=1)
+        next(checks)
+        tracemalloc.start()
+        try:
+            next(checks), next(checks)
+            tracemalloc.reset_peak()
+            rest = list(checks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rest) == 3
+        assert peak < 21e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_psd_check_ignores_segment_symbols(self, tmp_path, capsys):
         # check 1 always takes 800 one-symbol segments; segment_symbols

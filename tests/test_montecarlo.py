@@ -488,33 +488,37 @@ class TestEstimateMaiVariance:
 
 
 class TestEstimateNoiseVariance:
-    def test_zero_noise(self, mhp4):
+    @staticmethod
+    def _weighted_template(pulse, weight):
         from mpir.channel import ChannelRealization, composite_waveform
 
         chan = ChannelRealization(np.array([1.0]), np.array([0.0]))
-        v = [composite_waveform(mhp4, chan, np.array([1.0]))]
-        assert estimate_noise_variance(awgn_config(), v, 100, rng_stream(63, 0), 0.0) == 0.0
+        return [composite_waveform(pulse, chan, np.array([weight]))]
+
+    def test_zero_noise(self, mhp4):
+        # a zero-weight template projects every noise draw onto exactly 0
+        v = self._weighted_template(mhp4, 0.0)
+        assert estimate_noise_variance(awgn_config(), v, 100, rng_stream(63, 0)) == 0.0
 
     def test_doubling_sigma_quadruples_variance(self, mhp4):
-        from mpir.channel import ChannelRealization, composite_waveform
-
-        chan = ChannelRealization(np.array([1.0]), np.array([0.0]))
-        v = [composite_waveform(mhp4, chan, np.array([1.0]))]
-        a = estimate_noise_variance(awgn_config(), v, 50_000, rng_stream(64, 0), 0.5)
-        b = estimate_noise_variance(awgn_config(), v, 50_000, rng_stream(64, 0), 1.0)
+        # scaling the template by 2 scales each output, as doubling the
+        # noise amplitude would, by exactly 2
+        a = estimate_noise_variance(awgn_config(), self._weighted_template(mhp4, 0.5), 50_000,
+                                    rng_stream(64, 0))
+        b = estimate_noise_variance(awgn_config(), self._weighted_template(mhp4, 1.0), 50_000,
+                                    rng_stream(64, 0))
         assert b == pytest.approx(4.0 * a, rel=1e-9)  # same noise draws, rescaled
 
     def test_broken_scale_detected(self, mhp4):
-        # the deliberate mis-scaling hook must shift the variance away from
-        # the closed form (negative control for the validation suite)
+        # an estimate on a template mis-scaled by 1.2 must land well away
+        # from the closed form of the true template (negative control for
+        # the validation suite)
         from mpir.analysis import noise_variance
-        from mpir.channel import ChannelRealization, composite_waveform
 
         cfg = awgn_config()
-        chan = ChannelRealization(np.array([1.0]), np.array([0.0]))
-        v = [composite_waveform(mhp4, chan, np.array([1.0]))]
-        closed = noise_variance(v, cfg)
-        broken = estimate_noise_variance(cfg, v, 50_000, rng_stream(65, 0), noise_std_scale=1.2)
+        closed = noise_variance(self._weighted_template(mhp4, 1.0), cfg)
+        broken = estimate_noise_variance(cfg, self._weighted_template(mhp4, 1.2), 50_000,
+                                         rng_stream(65, 0))
         assert abs(broken - closed) / closed > 0.3
 
     @staticmethod
