@@ -142,6 +142,7 @@ def sample_channels(
         signs *= 2
         signs -= 1
         gains *= signs
+        del signs  # not alive beside the increments and delays
         delays = np.zeros((m, n_paths))
         if n_paths > 1:
             steps = rng.exponential(params.mean_arrival, size=(m, n_paths - 1))

@@ -34,7 +34,7 @@ import numpy as np
 from . import analysis, errors, montecarlo, spectral
 from .channel import ChannelParams, composite_waveform, draw_channels, sample_channels
 from .montecarlo import TrialPlan, rng_stream
-from .pulses import make_mhp
+from .pulses import BLOCK_SAMPLES, make_mhp
 from .transceiver import (
     SCHEMES,
     SELECTIONS,
@@ -243,7 +243,7 @@ def _psd_experiment(cfg: ExperimentConfig, pulses, n_sym: int, segment_symbols: 
     segment_symbols symbols.
 
     All bits and codes are drawn first.  The block is then assembled and
-    transformed one piece of whole segments (about spectral._CHUNK_SAMPLES
+    transformed one piece of whole segments (about pulses.BLOCK_SAMPLES
     samples) at a time and never held whole; symbols no segment uses are
     not assembled.  Each piece starts at the earliest pulse sample of its
     first frame, so every segment is symbol-aligned.  A pulse filling a
@@ -259,7 +259,7 @@ def _psd_experiment(cfg: ExperimentConfig, pulses, n_sym: int, segment_symbols: 
     n_used = n_seg * segment_symbols
     bits = rng.integers(0, 2, n_sym) * 2 - 1
     codes = generate_codes(config, n_sym * nf, rng)
-    step = max(1, spectral._CHUNK_SAMPLES // seg_len) * segment_symbols
+    step = max(1, BLOCK_SAMPLES // seg_len) * segment_symbols
 
     def pieces():
         carry = np.zeros(0)
@@ -368,12 +368,18 @@ def _validate_checks(cfg: ExperimentConfig, seed: int):
     *_, mism = _psd_experiment(cfg, pulses, 800, 1, rng_stream(seed, 10))
     yield "psd analytic/empirical mismatch <= 0.05", mism <= 0.05, f"measured {mism:.4f}"
 
-    # 2. channel energy normalization
+    # 2. channel energy normalization: 20,000 draws per power scale on one
+    # stream, in sample_channels calls of BLOCK_SAMPLES // L rows (about
+    # 1 MB of gains and delays each); no draw stays bound after its sum
     rng = rng_stream(seed, 11)
     n_draws = 20000
+    rows = max(1, BLOCK_SAMPLES // cfg.channel.n_paths)
     for scale, label in ((1.0, "desired"), (config.interferer_power, "interferer")):
         params = replace(cfg.channel, power_scale=scale)
-        mean_e = float(np.mean(np.sum(sample_channels(params, config, rng, n_draws)[0] ** 2, axis=1)))
+        total = 0.0
+        for start in range(0, n_draws, rows):
+            total += float(np.sum(sample_channels(params, config, rng, min(rows, n_draws - start))[0] ** 2))
+        mean_e = total / n_draws
         ok = abs(mean_e / scale - 1.0) <= 0.05
         yield f"channel mean energy ({label}) within 5%", ok, f"measured {mean_e:.4f}, target {scale}"
 

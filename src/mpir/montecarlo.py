@@ -52,7 +52,7 @@ import numpy as np
 from .analysis import noise_variance, qfunc
 from .channel import ChannelParams, ChannelRealization, composite_waveform, draw_channels
 from .errors import InvalidParameterError
-from .pulses import cross_correlation, grid_index, lookup
+from .pulses import BLOCK_SAMPLES, cross_correlation, grid_index, lookup
 from .transceiver import SystemConfig, _check_frame_separable, generate_codes, rake_composites, rake_template
 
 _ROLE_CHANNEL = 0
@@ -406,6 +406,15 @@ def estimate_mai_variance(
     RAKE template (the combiner of ``config``) directly from the
     cross-correlation functions, and returns the sample variance.  This
     is the waveform-free oracle for the closed-form per-frame MAI variance.
+
+    Samples are drawn in blocks of pulses.BLOCK_SAMPLES // 4, so beyond
+    the n_samples results (and np.var's copy of them) the working set is
+    a fixed 2 MB or so.  Each block draws, from ``rng`` and for all its
+    samples at once: the offsets tau, the template hop c_j, one bit per
+    symbol the interfering frames m_lo..m_hi touch, then the hop c_m and
+    polarity d_m of each frame m in order, then the template polarity.
+    Every sample is i.i.d. whatever the block size, but the values depend
+    on it.
     """
     if n_samples < 2:
         raise InvalidParameterError("n_samples must be >= 2")
@@ -426,21 +435,25 @@ def estimate_mai_variance(
     m_lo = frame + math.floor((lag_lo - (n_h - 1) * chip - (n_f * frame_len - 1)) / frame_len)
     m_hi = frame + math.ceil((lag_hi + (n_h - 1) * chip) / frame_len)
 
-    tau = rng.integers(0, n_f * frame_len, n_samples)
-    c_j = rng.integers(0, n_h, n_samples)
     sym_lo = math.floor(m_lo / n_f)
     sym_hi = math.floor(m_hi / n_f)
-    sym_bits = {s: rng.integers(0, 2, n_samples) * 2 - 1 for s in range(sym_lo, sym_hi + 1)}
 
-    acc = np.zeros(n_samples)
-    for m in range(m_lo, m_hi + 1):
-        r = m % n_p
-        c_m = rng.integers(0, n_h, n_samples)
-        d_m = rng.integers(0, 2, n_samples) * 2 - 1
-        idx = (m - frame) * frame_len + (c_m - c_j) * chip + tau + q0s[r]
-        acc += d_m * sym_bits[math.floor(m / n_f)] * lookup(phis[r].samples, idx)
-    acc *= rng.integers(0, 2, n_samples) * 2 - 1  # template polarity d_j of user 1
-    return float(np.var(acc, ddof=1))
+    block = BLOCK_SAMPLES // 4  # about a dozen block-length arrays are alive at once
+    out = np.zeros(n_samples)
+    for start in range(0, n_samples, block):
+        acc = out[start : start + block]
+        n = len(acc)
+        tau = rng.integers(0, n_f * frame_len, n)
+        c_j = rng.integers(0, n_h, n)
+        sym_bits = {s: rng.integers(0, 2, n) * 2 - 1 for s in range(sym_lo, sym_hi + 1)}
+        for m in range(m_lo, m_hi + 1):
+            r = m % n_p
+            c_m = rng.integers(0, n_h, n)
+            d_m = rng.integers(0, 2, n) * 2 - 1
+            idx = (m - frame) * frame_len + (c_m - c_j) * chip + tau + q0s[r]
+            acc += d_m * sym_bits[math.floor(m / n_f)] * lookup(phis[r].samples, idx)
+        acc *= rng.integers(0, 2, n) * 2 - 1  # template polarity d_j of user 1
+    return float(np.var(out, ddof=1))
 
 
 def estimate_noise_variance(
@@ -455,8 +468,9 @@ def estimate_noise_variance(
     Each trial draws one N(0, 1/dt) sample per nonzero sample of the
     bit's RAKE template; the noise on the template's exact zeros adds
     exactly 0 to the correlator, so it is not drawn.  Trials are drawn in
-    rows of a buffer of at most 2^18 doubles (2 MB); Philox normals do not
-    depend on how the draws are split, so the estimate does not either.
+    rows of a buffer of at most pulses.BLOCK_SAMPLES doubles (512 kB), or
+    one row if that is longer; Philox normals do not depend on how the
+    draws are split, so the estimate does not either.
     """
     if n_trials < 2:
         raise InvalidParameterError("n_trials must be >= 2")
@@ -466,7 +480,7 @@ def estimate_noise_variance(
     t = tmpl.samples[np.flatnonzero(tmpl.samples)]
     scale = 1 / math.sqrt(dt)
     outputs = np.empty(n_trials)
-    chunk = max(1, min(n_trials, (1 << 18) // max(1, len(t))))
+    chunk = max(1, min(n_trials, BLOCK_SAMPLES // max(1, len(t))))
     noise = np.empty((chunk, len(t)))
     done = 0
     while done < n_trials:

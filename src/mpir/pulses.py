@@ -44,6 +44,12 @@ TRUNCATION_LEVEL = 1e-6
 # frequency grids.
 GRID_TOL = 1e-9
 
+# Numbers per work block wherever a long draw or transform is taken a
+# block at a time (spectral.empirical_psd, the PSD experiment's block
+# pieces and validate's oracles): 2^16 doubles are 512 kB, so no working
+# set grows with its budget.
+BLOCK_SAMPLES = 1 << 16
+
 
 def grid_index(x, dt: float):
     """Nearest grid index for the time(s) ``x`` on a grid of step ``dt``.

@@ -23,12 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, InsufficientDataError, InvalidParameterError
-from .pulses import GRID_TOL, Waveform, cross_correlation
+from .pulses import BLOCK_SAMPLES, GRID_TOL, Waveform, cross_correlation
 from .transceiver import _check_pulse_set
-
-# samples per FFT chunk of empirical_psd (its complex work array is 4 MB)
-# and per block piece of the PSD experiment (cli._psd_experiment)
-_CHUNK_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,10 +96,10 @@ def empirical_psd(
     Each periodogram is |dt * DFT|^2 / segment_duration.  When
     ``symbol_samples`` is given the segment length must be a whole number
     of symbol periods, which is what makes the estimator unbiased for a
-    cyclostationary input.  Segments are transformed a chunk at a time in
-    work arrays allocated once, so the working memory stays a few MB
-    whatever the signal length, and their periodograms are added in
-    segment order.
+    cyclostationary input.  Segments are transformed a chunk of about
+    pulses.BLOCK_SAMPLES samples (or one segment, if longer) at a time in
+    work arrays allocated once, 1.5 MB for a full chunk, whatever the
+    signal length, and their periodograms are added in segment order.
     """
     if segment_len < 2 or n_segments < 1:
         raise InvalidParameterError("segment_len >= 2 and n_segments >= 1 required")
@@ -112,7 +108,7 @@ def empirical_psd(
             f"segment_len={segment_len} is not a multiple of the symbol length {symbol_samples}"
         )
     pieces = (signal,) if isinstance(signal, Waveform) else signal
-    chunk = min(n_segments, max(1, _CHUNK_SAMPLES // segment_len))
+    chunk = min(n_segments, max(1, BLOCK_SAMPLES // segment_len))
     spec = np.empty((chunk, segment_len), dtype=complex)
     power = np.empty((chunk, segment_len))
     total = np.zeros(segment_len)

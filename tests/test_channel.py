@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -216,6 +217,18 @@ class TestSampleChannels:
         energy = [c.energy for c in singles]
         assert ks_2samp(delays[:, -1], last).pvalue > 0.01
         assert ks_2samp(np.sum(gains**2, axis=1), energy).pvalue > 0.01
+
+    def test_sign_array_freed_before_the_increments(self, reference_channel):
+        # tracemalloc counts numpy's buffers; a 100,000 x 20 draw needs its
+        # gains, delays and increments at once (47 MB), but the int64 signs
+        # (16 MB) must be freed before the increments are drawn
+        tracemalloc.start()
+        try:
+            sample_channels(reference_channel, wide_open_config(), rng_stream(79, 5), 100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6, f"peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_exhausted_resamples_raise(self, reference_channel, n):

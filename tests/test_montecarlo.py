@@ -26,12 +26,13 @@ from mpir.montecarlo import (
     wilson_bounds,
     wilson_halfwidth,
 )
-from mpir.pulses import Waveform, grid_index, lookup, make_mhp
+from mpir.pulses import BLOCK_SAMPLES, Waveform, grid_index, lookup, make_mhp
 from mpir.transceiver import SystemConfig, _assemble, generate_codes, rake_template, select_combiner
 
 from conftest import compose_received, received_block
 
 DT = 0.02
+MAI_BLOCK = BLOCK_SAMPLES // 4  # draws per block of estimate_mai_variance
 
 
 def awgn_config():
@@ -485,6 +486,29 @@ class TestEstimateMaiVariance:
         cfg, pulses, desired, interferer = two_user_instance(62)
         with pytest.raises(InvalidParameterError):
             estimate_mai_variance(cfg, pulses, desired, interferer, 0, 1, rng_stream(62, 1))
+
+    @pytest.mark.parametrize("n_samples", [2, MAI_BLOCK - 1, MAI_BLOCK, MAI_BLOCK + 3])
+    def test_block_edges(self, n_samples):
+        # one short block, one exactly full block and a full block with a
+        # three-sample tail all give a finite variance, the same on replay
+        cfg, pulses, desired, interferer = two_user_instance(69)
+        a = estimate_mai_variance(cfg, pulses, desired, interferer, 1, n_samples, rng_stream(69, 1))
+        b = estimate_mai_variance(cfg, pulses, desired, interferer, 1, n_samples, rng_stream(69, 1))
+        assert math.isfinite(a) and a >= 0
+        assert a == b
+
+    def test_memory_does_not_grow_with_the_budget(self):
+        # tracemalloc counts numpy's buffers; at 10^6 draws the 8 MB result
+        # array and np.var's 8 MB temporary are all that may grow with the
+        # budget, the blocks' own arrays take a fixed 2 MB or so
+        cfg, pulses, desired, interferer = two_user_instance(70)
+        tracemalloc.start()
+        try:
+            estimate_mai_variance(cfg, pulses, desired, interferer, 0, 10**6, rng_stream(70, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestEstimateNoiseVariance:

@@ -213,7 +213,7 @@ class TestStreamedPsd:
         assert np.array_equal(streamed.freqs, whole.freqs)
         # FFT chunks of 3 segments split a piece; a partial segment at the
         # end of a piece is not used
-        monkeypatch.setattr(spectral, "_CHUNK_SAMPLES", 3 * seg_len)
+        monkeypatch.setattr(spectral, "BLOCK_SAMPLES", 3 * seg_len)
         tailed = empirical_psd(pieces_of(sig, seg_len, per_piece, tail=seg_len // 2), seg_len, 150, sym)
         assert np.array_equal(tailed.psd, whole.psd)
 
