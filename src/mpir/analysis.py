@@ -13,10 +13,12 @@ cross-checks in the test suite):
   check_pulse_fits and transceiver._check_frame_separable) every TH and
   delay window of an MAI lag integral covers the whole support of the
   squared cross-correlation, so each variance is a full-support sum of
-  phi^2 at the waveform sample step.  That sum is taken in the frequency
-  domain by discrete Parseval, one rfft per composite, and both MAI forms
-  share it, which makes the single-pulse reduction exact at
-  floating-point level.  A geometry outside containment raises
+  phi^2 at the waveform sample step.  ``mai_variance_multi`` takes that
+  sum in the frequency domain by discrete Parseval, one rfft per
+  composite; ``mai_variance_classical`` takes it in the time domain on the
+  cross-correlation table.  The two are separate computations, so the
+  single-pulse reduction holds to rounding (below 1e-15 relative), and a
+  fault in either shows.  A geometry outside containment raises
   InfeasibleGeometryError.
 * The RAKE combiner is a SystemConfig setting (scheme, selection,
   combiner_paths); conditional_bep_terms and bep_averaged build their
@@ -35,7 +37,7 @@ import numpy as np
 
 from .channel import ChannelParams, composite_waveform, draw_channels
 from .errors import ConfigMismatchError, DegenerateInputError, InvalidParameterError
-from .pulses import _common_dt
+from .pulses import _common_dt, cross_correlation
 from .transceiver import SystemConfig, _check_frame_separable, decision_statistic, rake_composites
 
 _SQRT_2 = math.sqrt(2.0)
@@ -74,16 +76,24 @@ class MaiVariance:
         object.__setattr__(self, "per_frame", per_frame)
 
 
-def _mai_mass(interferer_sets, templates, config: SystemConfig) -> np.ndarray:
-    """sigma2_M(k, j) for every interferer composite set k and template j.
+def mai_variance_multi(interferer_sets, templates, config: SystemConfig) -> MaiVariance:
+    """Conditional MAI variances for every (interferer, frame type) pair.
 
+    interferer_sets[k] holds the N_p received composites of interferer k;
+    templates holds the N_p RAKE template composites of the desired user.
     Frame containment puts the whole support of phi_{u_r v_j} inside every
     TH and delay window of the lag integral, so
-    sigma2_M(k, j) = N_h^2 / (N_p T_f) * sum_r dt * sum_x phi_{u_r v_j}^2[x],
-    with N_p = len(templates).  By discrete Parseval on nfft >= len(u) +
-    len(v) - 1 points, sum_x phi^2[x] = dt^2 / nfft * sum_f w_f |U_r(f)|^2
-    |V_j(f)|^2 over the rfft bins, w_f = 1 at DC and Nyquist, 2 elsewhere.
+    sigma2_M(k, j) = N_h^2 / (N_p T_f) * sum_r dt * sum_x phi_{u_r v_j}^2[x].
+    By discrete Parseval on nfft >= len(u) + len(v) - 1 points,
+    sum_x phi^2[x] = dt^2 / nfft * sum_f w_f |U_r(f)|^2 |V_j(f)|^2 over the
+    rfft bins, w_f = 1 at DC and Nyquist, 2 elsewhere.
     """
+    n_p = config.pulse_types
+    if len(templates) != n_p:
+        raise ConfigMismatchError(f"need {n_p} templates, got {len(templates)}")
+    for k, u_set in enumerate(interferer_sets):
+        if len(u_set) != n_p:
+            raise ConfigMismatchError(f"interferer {k} must supply {n_p} composites")
     interferers = [u for u_set in interferer_sets for u in u_set]
     dt = _common_dt([*templates, *interferers])
     _check_frame_separable([*templates, *interferers], config, dt)
@@ -93,29 +103,12 @@ def _mai_mass(interferer_sets, templates, config: SystemConfig) -> np.ndarray:
     w = np.full(nfft // 2 + 1, 2.0)
     w[[0, -1]] = 1.0
     v_power = np.array([w * np.abs(np.fft.rfft(v.samples, nfft)) ** 2 for v in templates])
-    scale = config.hop_positions**2 * dt**3 / (len(templates) * config.frame_time * nfft)
-    per_frame = np.zeros((len(interferer_sets), len(templates)))
+    scale = config.hop_positions**2 * dt**3 / (n_p * config.frame_time * nfft)
+    per_frame = np.zeros((len(interferer_sets), n_p))
     for k, u_set in enumerate(interferer_sets):
         u_power = sum(np.abs(np.fft.rfft(u.samples, nfft)) ** 2 for u in u_set)
         per_frame[k] = v_power @ u_power * scale
-    return per_frame
-
-
-def mai_variance_multi(interferer_sets, templates, config: SystemConfig) -> MaiVariance:
-    """Conditional MAI variances for every (interferer, frame type) pair.
-
-    interferer_sets[k] holds the N_p received composites of interferer k;
-    templates holds the N_p RAKE template composites of the desired user.
-    """
-    n_p = config.pulse_types
-    if len(templates) != n_p:
-        raise ConfigMismatchError(f"need {n_p} templates, got {len(templates)}")
-    for k, u_set in enumerate(interferer_sets):
-        if len(u_set) != n_p:
-            raise ConfigMismatchError(f"interferer {k} must supply {n_p} composites")
-    per_frame = _mai_mass(interferer_sets, templates, config)
-    scale = config.frames_per_symbol * config.hop_positions**2
-    total = float(per_frame.sum() / scale)
+    total = float(per_frame.sum() / (config.frames_per_symbol * config.hop_positions**2))
     out_var = float(per_frame.sum() / (n_p * config.hop_positions**2))
     return MaiVariance(per_frame, total, out_var)
 
@@ -125,11 +118,15 @@ def mai_variance_classical(u, v, config: SystemConfig) -> float:
 
     (1/T_f) sum_{|l|<N_h} (N_h - |l|) int_{-T_f}^{T_f} phi_uv^2(l T_c + tau) dtau,
     which frame containment reduces to (N_h^2 / T_f) int phi_uv^2(x) dx,
-    evaluated by the same spectral sum as mai_variance_multi.  The 1/N_h^2
+    evaluated here in the time domain on the pulses.cross_correlation
+    table, independently of mai_variance_multi's spectral sum.  The 1/N_h^2
     factor is NOT included here; bep_single applies 1/(N_f N_h^2) to the
     sum over interferers, consistently with mai_variance_multi.
     """
-    return float(_mai_mass([[u]], [v], config)[0, 0])
+    dt = _common_dt((v, u))
+    _check_frame_separable((v, u), config, dt)
+    phi = cross_correlation(u, v).samples
+    return config.hop_positions**2 / config.frame_time * dt * float(np.dot(phi, phi))
 
 
 def noise_variance(templates, config: SystemConfig) -> float:

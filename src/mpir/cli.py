@@ -34,7 +34,7 @@ import numpy as np
 from . import analysis, errors, montecarlo, spectral
 from .channel import ChannelParams, composite_waveform, draw_channels, sample_channels
 from .montecarlo import TrialPlan, rng_stream
-from .pulses import BLOCK_SAMPLES, make_mhp
+from .pulses import BLOCK_SAMPLES, Waveform, make_mhp
 from .transceiver import (
     SCHEMES,
     SELECTIONS,
@@ -209,8 +209,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
     try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {p} is not UTF-8 text: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
     return parse_config(raw)
 
@@ -247,9 +251,10 @@ def _psd_experiment(cfg: ExperimentConfig, pulses, n_sym: int, segment_symbols: 
     samples) at a time and never held whole; symbols no segment uses are
     not assembled.  Each piece starts at the earliest pulse sample of its
     first frame, so every segment is symbol-aligned.  A pulse filling a
-    whole chip at the last hop position ends one sample past its frame;
-    such a sample past a piece's last segment is carried into the next
-    piece, so the segments equal those of the whole block.
+    whole chip at the last hop position ends one sample past its frame,
+    inside the next segment; so each piece after the first is assembled
+    from one symbol earlier, and that symbol's samples dropped, which
+    makes its segments equal those of the whole block.
     """
     config = cfg.system
     nf = config.frames_per_symbol
@@ -262,17 +267,12 @@ def _psd_experiment(cfg: ExperimentConfig, pulses, n_sym: int, segment_symbols: 
     step = max(1, BLOCK_SAMPLES // seg_len) * segment_symbols
 
     def pieces():
-        carry = np.zeros(0)
         for a in range(0, n_used, step):
-            b = min(a + step, n_used)
-            f = slice(a * nf, b * nf)
-            piece = transmit_block(config, pulses, bits[a:b], CodeSequences(codes.th[f], codes.polarity[f]))
-            if carry.any():
-                samples = piece.samples.copy()
-                samples[: len(carry)] += carry
-                piece = replace(piece, samples=samples)
-            carry = piece.samples[(b - a) * sym :].copy()
-            yield piece
+            lo, b = max(a - 1, 0), min(a + step, n_used)
+            f = slice(lo * nf, b * nf)
+            block = transmit_block(config, pulses, bits[lo:b], CodeSequences(codes.th[f], codes.polarity[f]))
+            lead = (a - lo) * sym
+            yield Waveform(block.samples[lead:], block.dt, block.t0 + lead * block.dt)
 
     empirical = spectral.empirical_psd(pieces(), seg_len, n_seg, symbol_samples=sym)
     analytic = spectral.analytic_psd(pulses, config, seg_len)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, InsufficientDataError, InvalidParameterError
-from .pulses import BLOCK_SAMPLES, GRID_TOL, Waveform, cross_correlation
+from .pulses import BLOCK_SAMPLES, GRID_TOL, Waveform, _common_dt, cross_correlation
 from .transceiver import _check_pulse_set
 
 
@@ -112,14 +112,15 @@ def empirical_psd(
     spec = np.empty((chunk, segment_len), dtype=complex)
     power = np.empty((chunk, segment_len))
     total = np.zeros(segment_len)
-    dt = None
+    prev = None
     done = 0
     for piece in pieces:
-        if dt is None:
+        if prev is None:
             dt = piece.dt
             duration = segment_len * dt
-        elif abs(piece.dt - dt) > GRID_TOL * dt:
-            raise GridMismatchError(f"pieces on different sample steps: {dt} vs {piece.dt}")
+        else:
+            _common_dt((prev, piece))
+        prev = piece
         rows = min(len(piece.samples) // segment_len, n_segments - done)
         segs = piece.samples[: rows * segment_len].reshape(rows, segment_len)
         for start in range(0, rows, chunk):

@@ -20,7 +20,8 @@ from .channel import ChannelRealization, composite_waveform
 from .errors import ConfigMismatchError, InfeasibleGeometryError, InvalidParameterError
 from .pulses import GRID_TOL, Waveform, _common_dt, grid_count, grid_index
 
-# RAKE combining schemes and path selections SystemConfig and select_combiner accept
+# RAKE combining schemes and path selections SystemConfig accepts;
+# select_combiner reads them from a validated SystemConfig
 SCHEMES = ("mrc", "egc")
 SELECTIONS = ("all", "partial", "selective")
 
@@ -164,36 +165,24 @@ def generate_codes(config: SystemConfig, n_frames: int, rng: np.random.Generator
     return CodeSequences(th, polarity)
 
 
-def select_combiner(
-    chan: ChannelRealization,
-    scheme: str = "mrc",
-    selection: str = "all",
-    n_paths: int | None = None,
-) -> np.ndarray:
-    """RAKE weights beta for a known realization.
+def select_combiner(chan: ChannelRealization, config: SystemConfig) -> np.ndarray:
+    """RAKE weights beta for a known realization under the combiner of ``config``.
 
     mrc sets beta_l = gain_l, egc sets beta_l = sign(gain_l).  For partial
-    (first n_paths) or selective (n_paths largest |gain|) combining the
-    weights of unused paths are set to zero.
+    (first combiner_paths) or selective (combiner_paths largest |gain|)
+    combining the weights of unused paths are set to zero.
     """
-    if scheme not in SCHEMES:
-        raise InvalidParameterError(f"unknown combining scheme {scheme!r}")
-    if selection not in SELECTIONS:
-        raise InvalidParameterError(f"unknown path selection {selection!r}")
-    beta = chan.gains.copy() if scheme == "mrc" else np.sign(chan.gains)
-    if selection != "all":
-        if n_paths is None or not 1 <= n_paths <= chan.n_paths:
+    beta = chan.gains.copy() if config.scheme == "mrc" else np.sign(chan.gains)
+    if config.selection != "all":
+        n = config.combiner_paths
+        if n > chan.n_paths:
             raise InvalidParameterError(
-                f"selection {selection!r} needs n_paths in [1, {chan.n_paths}]"
+                f"selection {config.selection!r} needs combiner_paths <= {chan.n_paths}, got {n}"
             )
-        keep = (
-            np.arange(n_paths)
-            if selection == "partial"
-            else np.argsort(np.abs(chan.gains))[::-1][:n_paths]
-        )
-        mask = np.zeros(chan.n_paths, dtype=bool)
-        mask[keep] = True
-        beta[~mask] = 0.0
+        if config.selection == "partial":
+            beta[n:] = 0.0
+        else:
+            beta[np.argsort(np.abs(chan.gains))[::-1][n:]] = 0.0
     return beta
 
 
@@ -207,7 +196,7 @@ def rake_composites(
     Under mrc over all paths the weights are the channel gains, and one
     list serves as both.
     """
-    beta = select_combiner(chan, config.scheme, config.selection, config.combiner_paths)
+    beta = select_combiner(chan, config)
     desired = [composite_waveform(p, chan, chan.gains) for p in pulses]
     if np.array_equal(beta, chan.gains):
         return desired, desired

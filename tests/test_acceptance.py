@@ -33,7 +33,7 @@ from mpir.montecarlo import (
 )
 from mpir.pulses import grid_index, make_mhp
 from mpir.spectral import analytic_psd, band_containing, empirical_psd, psd_mismatch
-from mpir.transceiver import SystemConfig, generate_codes, select_combiner, transmit_block
+from mpir.transceiver import SystemConfig, generate_codes, rake_composites, transmit_block
 
 DT = 0.02
 TAU_P = 0.05
@@ -198,8 +198,7 @@ class TestA3MaiVarianceOracle:
             desired = sample_channel(channel_params, config_double, rng)
             strong = replace(channel_params, power_scale=5.0)
             interferer = sample_channel(strong, config_double, rng)
-            beta = select_combiner(desired, "mrc", "all")
-            templates = [composite_waveform(p, desired, beta) for p in pulses]
+            _, templates = rake_composites(pulses, desired, config_double)
             u_set = [composite_waveform(p, interferer, interferer.gains) for p in pulses]
             out = mai_variance_multi([u_set], templates, config_double)
             frame = pair % config_double.pulse_types
@@ -224,8 +223,7 @@ class TestA4NoiseVariance:
     def test_closed_form_vs_noise_only_correlator(self, config_double, channel_params, pulses):
         rng = rng_stream(304, 0)
         desired = sample_channel(channel_params, config_double, rng)
-        beta = select_combiner(desired, "mrc", "all")
-        templates = [composite_waveform(p, desired, beta) for p in pulses]
+        _, templates = rake_composites(pulses, desired, config_double)
         closed = noise_variance(templates, config_double)
         est = estimate_noise_variance(config_double, templates, 100_000, rng_stream(304, 1))
         rel = abs(est - closed) / closed
@@ -337,9 +335,7 @@ class TestA7ReductionIdentity:
             srng = np.random.default_rng(rng_master.integers(2**32))
             desired = sample_channel(params, cfg, srng)
             interferer = sample_channel(replace(params, power_scale=5.0), cfg, srng)
-            beta = select_combiner(desired, "mrc", "all")
-            u = composite_waveform(pulse, desired, desired.gains)
-            v = composite_waveform(pulse, desired, beta)
+            (u,), (v,) = rake_composites([pulse], desired, cfg)
             ui = composite_waveform(pulse, interferer, interferer.gains)
             signal, mai, energy = conditional_bep_terms(cfg, [pulse], desired, [interferer])
             multi = sga_bep(signal, mai.total, energy, sigma)

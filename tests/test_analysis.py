@@ -21,7 +21,7 @@ from mpir.channel import ChannelParams, ChannelRealization, composite_waveform, 
 from mpir.errors import DegenerateInputError, InfeasibleGeometryError
 from mpir.montecarlo import rng_stream
 from mpir.pulses import cross_correlation, grid_index, make_mhp
-from mpir.transceiver import SystemConfig, decision_statistic, select_combiner
+from mpir.transceiver import SystemConfig, decision_statistic, rake_composites, select_combiner
 
 DT = 0.02
 
@@ -135,7 +135,9 @@ class TestMaiVariance:
     def test_matches_windowed_sum_up_to_containment_limit(self, seed, n_p, n_h, scheme, selective):
         cfg, pulses, desired, interferers = _limit_instance(seed, n_p, n_h)
         n_sel = desired.n_paths // 2 + 1
-        beta = select_combiner(desired, scheme, "selective" if selective else "all", n_sel)
+        combiner = replace(cfg, scheme=scheme, selection="selective" if selective else "all",
+                           combiner_paths=n_sel)
+        beta = select_combiner(desired, combiner)
         v = [composite_waveform(p, desired, beta) for p in pulses]
         sets = [[composite_waveform(p, ch, ch.gains) for p in pulses] for ch in interferers]
         want = np.array([[_windowed_sigma2(u, v[j], j, cfg) for j in range(n_p)] for u in sets])
@@ -173,8 +175,7 @@ class TestMaiVariance:
 
     def test_quadratic_scaling_in_interferer_gain(self):
         cfg, pulses, desired, interferers = _reference_instance(31)
-        beta = select_combiner(desired, "mrc", "all")
-        v = [composite_waveform(p, desired, beta) for p in pulses]
+        _, v = rake_composites(pulses, desired, cfg)
         u = [composite_waveform(p, interferers[0], interferers[0].gains) for p in pulses]
         u3 = [composite_waveform(p, interferers[0], 3.0 * interferers[0].gains) for p in pulses]
         base = mai_variance_multi([u], v, cfg)
@@ -187,8 +188,7 @@ class TestMaiVariance:
     def test_single_pulse_reduction_matches_classical(self):
         cfg, pulses, desired, interferers = _reference_instance(32)
         single = replace(cfg, pulse_types=1)
-        beta = select_combiner(desired, "mrc", "all")
-        v = composite_waveform(pulses[0], desired, beta)
+        _, (v,) = rake_composites(pulses[:1], desired, single)
         u = composite_waveform(pulses[0], interferers[0], interferers[0].gains)
         multi = mai_variance_multi([[u]], [v], single)
         classical = mai_variance_classical(u, v, single)
@@ -198,8 +198,7 @@ class TestMaiVariance:
         from mpir.montecarlo import estimate_mai_variance
 
         cfg, pulses, desired, interferers = _reference_instance(33)
-        beta = select_combiner(desired, "mrc", "all")
-        v = [composite_waveform(p, desired, beta) for p in pulses]
+        _, v = rake_composites(pulses, desired, cfg)
         u = [composite_waveform(p, interferers[0], interferers[0].gains) for p in pulses]
         out = mai_variance_multi([u], v, cfg)
         est = estimate_mai_variance(
@@ -228,8 +227,7 @@ class TestMaiVariance:
         results = []
         for dt in (DT, DT / 2):
             pulses = [make_mhp(4, 0.05, dt), make_mhp(5, 0.05, dt)]
-            beta = select_combiner(desired, "mrc", "all")
-            v = [composite_waveform(p, desired, beta) for p in pulses]
+            _, v = rake_composites(pulses, desired, cfg)
             u = [composite_waveform(p, interferer, interferer.gains) for p in pulses]
             results.append(mai_variance_multi([u], v, cfg).total)
         assert results[1] == pytest.approx(results[0], rel=2e-3)
@@ -240,8 +238,7 @@ class TestMaiVariance:
     @settings(max_examples=8, deadline=None)
     def test_invariant_under_interferer_polarity_flip(self, seed, n_interferers, flip):
         cfg, pulses, desired, interferers = _reference_instance(seed, n_interferers)
-        beta = select_combiner(desired, "mrc", "all")
-        v = [composite_waveform(p, desired, beta) for p in pulses]
+        _, v = rake_composites(pulses, desired, cfg)
         k = flip % n_interferers
         flipped = list(interferers)
         flipped[k] = ChannelRealization(-interferers[k].gains, interferers[k].delays)
@@ -276,8 +273,7 @@ class TestNoiseVariance:
         from mpir.montecarlo import estimate_noise_variance
 
         cfg, pulses, desired, _ = _reference_instance(36)
-        beta = select_combiner(desired, "mrc", "all")
-        v = [composite_waveform(p, desired, beta) for p in pulses]
+        _, v = rake_composites(pulses, desired, cfg)
         closed = noise_variance(v, cfg)
         est = estimate_noise_variance(cfg, v, 30_000, rng_stream(36, 1))
         assert est == pytest.approx(closed, rel=0.03)
@@ -286,8 +282,7 @@ class TestNoiseVariance:
 class TestBep:
     def test_zero_signal_gives_half(self):
         cfg, pulses, desired, interferers = _reference_instance(37)
-        beta = select_combiner(desired, "mrc", "all")
-        v = [composite_waveform(p, desired, beta) for p in pulses]
+        _, v = rake_composites(pulses, desired, cfg)
         zero_u = [composite_waveform(p, desired, np.zeros(desired.n_paths)) for p in pulses]
         signal = sum(decision_statistic(u, w) for u, w in zip(zero_u, v))
         assert sga_bep(signal, 0.0, sum(w.energy for w in v), 1.0) == pytest.approx(0.5, abs=1e-12)
@@ -314,9 +309,7 @@ class TestBep:
         rng = rng_stream(38, 0)
         desired = sample_channel(params, cfg2, rng)
         interferer = sample_channel(replace(params, power_scale=5.0), cfg2, rng)
-        beta = select_combiner(desired, "mrc", "all")
-        u = composite_waveform(mhp4, desired, desired.gains)
-        v = composite_waveform(mhp4, desired, beta)
+        (u,), (v,) = rake_composites([mhp4], desired, cfg1)
         ui = composite_waveform(mhp4, interferer, interferer.gains)
         signal, mai, energy = conditional_bep_terms(cfg2, [mhp4, mhp4], desired, [interferer])
         two = sga_bep(signal, mai.total, energy, 0.4)
@@ -367,9 +360,7 @@ class TestBep:
         srng = np.random.default_rng(seed + 1)
         desired = sample_channel(params, cfg, srng)
         interferer = sample_channel(replace(params, power_scale=5.0), cfg, srng)
-        beta = select_combiner(desired, "mrc", "all")
-        u = composite_waveform(pulse, desired, desired.gains)
-        v = composite_waveform(pulse, desired, beta)
+        (u,), (v,) = rake_composites([pulse], desired, cfg)
         ui = composite_waveform(pulse, interferer, interferer.gains)
         signal, mai, energy = conditional_bep_terms(cfg, [pulse], desired, [interferer])
         sigma2 = mai_variance_classical(ui, v, cfg)
@@ -420,11 +411,11 @@ class TestConditionalBepTerms:
         # under mrc over all paths the desired composites serve as the
         # templates; every other combiner builds its own
         cfg, pulses, desired, interferers = _reference_instance(42, n_interferers=2)
-        beta = select_combiner(desired, scheme, selection, n_paths)
+        combiner = replace(cfg, scheme=scheme, selection=selection, combiner_paths=n_paths)
+        beta = select_combiner(desired, combiner)
         u = [composite_waveform(p, desired, desired.gains) for p in pulses]
         v = [composite_waveform(p, desired, beta) for p in pulses]
         sets = [[composite_waveform(p, ch, ch.gains) for p in pulses] for ch in interferers]
-        combiner = replace(cfg, scheme=scheme, selection=selection, combiner_paths=n_paths)
         sig, mai, energy = conditional_bep_terms(combiner, pulses, desired, interferers)
         assert sig == sum(decision_statistic(a, b) for a, b in zip(u, v)) / math.sqrt(2)
         assert np.array_equal(mai.per_frame, mai_variance_multi(sets, v, cfg).per_frame)

@@ -263,6 +263,20 @@ class TestMain:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["non-utf8", "directory", "deep-array"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "non-utf8":
+            path.write_bytes(b'{"schema": "\xff"}')
+        elif kind == "directory":
+            path.mkdir()
+        else:
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        code = main(["bep", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_psd_end_to_end(self, tmp_path):
         path = write_config(tmp_path, small_raw())
         code = main(["psd", "--config", str(path), "--out", str(tmp_path / "o")])

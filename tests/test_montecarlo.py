@@ -27,7 +27,9 @@ from mpir.montecarlo import (
     wilson_halfwidth,
 )
 from mpir.pulses import BLOCK_SAMPLES, Waveform, grid_index, lookup, make_mhp
-from mpir.transceiver import SystemConfig, _assemble, generate_codes, rake_template, select_combiner
+from mpir.transceiver import (
+    SystemConfig, _assemble, generate_codes, rake_composites, rake_template, select_combiner,
+)
 
 from conftest import compose_received, received_block
 
@@ -232,7 +234,7 @@ def reference_decisions(config, pulses, channel_params, n_bits, seed, index):
     sym = config.symbol_samples(dt)
     rng_tr = rng_stream(seed, index, montecarlo._ROLE_TRAFFIC)
     desired_chan, interferer_chans = realization_channels(config, channel_params, seed, index)
-    beta = select_combiner(desired_chan, config.scheme, config.selection, config.combiner_paths)
+    beta = select_combiner(desired_chan, config)
     desired = [composite_waveform(p, desired_chan, desired_chan.gains) for p in pulses]
     templates = [composite_waveform(p, desired_chan, beta) for p in pulses]
 
@@ -265,7 +267,8 @@ def _first_path_dropped(config, channel_params, seed, scheme, n_paths):
     and so starts after the frame start."""
     for index in range(200):
         desired, _ = realization_channels(config, channel_params, seed, index)
-        beta = select_combiner(desired, scheme, "selective", n_paths)
+        beta = select_combiner(desired, replace(config, scheme=scheme, selection="selective",
+                                                combiner_paths=n_paths))
         if beta[0] == 0.0 and desired.delays[beta != 0.0][0] > 1.0:
             return index
     raise AssertionError("no realization drops the first path")
@@ -548,8 +551,7 @@ class TestEstimateNoiseVariance:
     @staticmethod
     def _double_pulse_templates(seed):
         cfg, pulses, desired, _ = two_user_instance(seed)
-        beta = select_combiner(desired, "mrc", "all")
-        return cfg, [composite_waveform(p, desired, beta) for p in pulses]
+        return cfg, rake_composites(pulses, desired, cfg)[1]
 
     @pytest.mark.parametrize("n_trials", [7, 5000])
     def test_draws_only_on_template_support(self, n_trials):

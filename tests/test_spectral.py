@@ -224,6 +224,11 @@ class TestStreamedPsd:
         with pytest.raises(InsufficientDataError):
             empirical_psd(iter(pieces), 400, 3)
 
+    def test_pieces_on_different_steps_rejected(self):
+        pieces = [Waveform(np.ones(800), DT, 0.0), Waveform(np.ones(800), DT * 1.001, 0.0)]
+        with pytest.raises(GridMismatchError):
+            empirical_psd(iter(pieces), 400, 4)
+
     def test_psd_experiment_equals_whole_block(self):
         # the shipped double-pulse experiment, streamed as cli runs it
         cfg = cli.load_config(CONFIGS / "twenty_user_double_pulse.json")

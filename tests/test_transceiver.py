@@ -22,6 +22,7 @@ from mpir.transceiver import (
     check_pulse_fits,
     decision_statistic,
     generate_codes,
+    rake_composites,
     rake_template,
     select_combiner,
     transmit_block,
@@ -101,35 +102,33 @@ class TestSelectCombiner:
         return ChannelRealization(gains, delays)
 
     def test_all_rake_mrc_equals_gains(self):
-        beta = select_combiner(self.chan(), "mrc", "all")
+        beta = select_combiner(self.chan(), small_config())
         assert np.array_equal(beta, self.chan().gains)
 
     def test_egc_signs(self):
-        beta = select_combiner(self.chan(), "egc", "all")
+        beta = select_combiner(self.chan(), small_config(scheme="egc"))
         assert np.array_equal(beta, np.sign(self.chan().gains))
 
     def test_selective_one_keeps_largest(self):
-        beta = select_combiner(self.chan(), "mrc", "selective", 1)
+        beta = select_combiner(self.chan(), small_config(selection="selective", combiner_paths=1))
         assert np.count_nonzero(beta) == 1
         assert beta[1] == -1.2
 
     def test_partial_keeps_first(self):
-        beta = select_combiner(self.chan(), "mrc", "partial", 2)
+        beta = select_combiner(self.chan(), small_config(selection="partial", combiner_paths=2))
         assert np.array_equal(beta, [0.5, -1.2, 0.0, 0.0])
 
     def test_selective_captures_at_least_partial(self, reference_channel, reference_config):
         rng = rng_stream(6, 0)
         for _ in range(100):
             chan = sample_channel(reference_channel, reference_config, rng)
-            part = select_combiner(chan, "mrc", "partial", 5)
-            sel = select_combiner(chan, "mrc", "selective", 5)
+            part = select_combiner(chan, replace(reference_config, selection="partial", combiner_paths=5))
+            sel = select_combiner(chan, replace(reference_config, selection="selective", combiner_paths=5))
             assert np.dot(sel, chan.gains) >= np.dot(part, chan.gains) - 1e-12
 
     def test_m_out_of_range(self):
         with pytest.raises(InvalidParameterError):
-            select_combiner(self.chan(), "mrc", "selective", 5)
-        with pytest.raises(InvalidParameterError):
-            select_combiner(self.chan(), "bogus")
+            select_combiner(self.chan(), small_config(selection="selective", combiner_paths=5))
 
 
 class TestTransmitBlock:
@@ -216,9 +215,7 @@ class TestRakeTemplateAndDecision:
 
         params = ChannelParams(n_paths=6, decay_rate=0.6, lognorm_var=0.8, mean_arrival=2.0)
         chan = sample_channel(params, cfg, params_rng)
-        beta = select_combiner(chan, "mrc", "all")
-        u = [composite_waveform(p, chan, chan.gains) for p in pulses]
-        v = [composite_waveform(p, chan, beta) for p in pulses]
+        u, v = rake_composites(pulses, chan, cfg)
         rng = rng_stream(seed, 1)
         bits = rng.integers(0, 2, n_bits) * 2 - 1
         codes = generate_codes(cfg, n_bits * 2, rng)
