@@ -8,11 +8,11 @@ RAKE detection), analysis (closed-form MAI/noise/BEP), montecarlo
 (correlation-table BER and oracle estimators), cli (batch experiments).
 """
 
-from .analysis import MaiVariance, bep_averaged, bep_single, qfunc, sga_bep
+from .analysis import MaiVariance, bep_averaged, qfunc, sga_bep
 from .channel import ChannelParams, ChannelRealization, composite_waveform, sample_channel, sample_channels
 from .montecarlo import BerEstimate, TrialPlan, rng_stream, run_ber, run_ber_sweep
-from .pulses import Waveform, cross_correlation, make_mhp, normalize_energy
-from .spectral import SpectralDensity, analytic_autocorrelation, analytic_psd, empirical_psd, psd_mismatch, pulse_spectrum
-from .transceiver import CodeSequences, SystemConfig, decision_statistic, generate_codes, select_combiner, transmit_block
+from .pulses import Waveform, cross_correlation, make_mhp
+from .spectral import SpectralDensity, analytic_psd, empirical_psd, psd_mismatch
+from .transceiver import CodeSequences, SystemConfig, generate_codes, transmit_block
 
 __version__ = "0.1.0"

@@ -14,9 +14,9 @@ cross-checks in the test suite):
   delay window of an MAI lag integral covers the whole support of the
   squared cross-correlation, so each variance is a full-support sum of
   phi^2 at the waveform sample step.  ``mai_variance_multi`` takes that
-  sum in the frequency domain by discrete Parseval, one rfft per
-  composite; ``mai_variance_classical`` takes it in the time domain on the
-  cross-correlation table.  The two are separate computations, so the
+  sum by discrete Parseval on the pulse and tap-train spectra of the
+  channel draw, with no composite; ``mai_variance_classical`` takes it in
+  the time domain on the cross-correlation table.  Being separate, the
   single-pulse reduction holds to rounding (below 1e-15 relative), and a
   fault in either shows.  A geometry outside containment raises
   InfeasibleGeometryError.
@@ -35,10 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, composite_waveform, draw_channels
+from .channel import ChannelParams, draw_channels
 from .errors import ConfigMismatchError, DegenerateInputError, InvalidParameterError
-from .pulses import _common_dt, cross_correlation
-from .transceiver import SystemConfig, _check_frame_separable, decision_statistic, rake_composites
+from .pulses import _common_dt, cross_correlation, grid_index
+from .transceiver import SystemConfig, _check_frame_separable, _check_frame_span, _check_pulse_set
+from .transceiver import decision_statistic, rake_composites, select_combiner
 
 _SQRT_2 = math.sqrt(2.0)
 _erfc = np.vectorize(math.erfc, otypes=[float])
@@ -70,46 +71,43 @@ class MaiVariance:
 
     def __post_init__(self):
         per_frame = np.asarray(self.per_frame, dtype=float)
-        if np.any(per_frame < 0):
-            raise InvalidParameterError("MAI variances cannot be negative")
         per_frame.setflags(write=False)
         object.__setattr__(self, "per_frame", per_frame)
 
 
-def mai_variance_multi(interferer_sets, templates, config: SystemConfig) -> MaiVariance:
-    """Conditional MAI variances for every (interferer, frame type) pair.
+def mai_variance_multi(config: SystemConfig, pulses, desired_chan, interferer_chans) -> MaiVariance:
+    """Conditional MAI variances for every (interferer, frame type) pair
+    on one channel draw, under the RAKE combiner of ``config``.
 
-    interferer_sets[k] holds the N_p received composites of interferer k;
-    templates holds the N_p RAKE template composites of the desired user.
     Frame containment puts the whole support of phi_{u_r v_j} inside every
     TH and delay window of the lag integral, so
     sigma2_M(k, j) = N_h^2 / (N_p T_f) * sum_r dt * sum_x phi_{u_r v_j}^2[x].
-    By discrete Parseval on nfft >= len(u) + len(v) - 1 points,
-    sum_x phi^2[x] = dt^2 / nfft * sum_f w_f |U_r(f)|^2 |V_j(f)|^2 over the
-    rfft bins, w_f = 1 at DC and Nyquist, 2 elsewhere.
+    u_r = p_r * h_k and v_j = p_j * b are pulses on the tap trains of
+    interferer k's gains and of the select_combiner weights, placed as
+    composite_waveform places them.  Discrete Parseval on nfft >= len(u) +
+    len(v) - 1 points gives sum_x phi^2[x] = dt^2 / nfft * sum_f w_f
+    |P_r H_k|^2 |P_j B|^2 over the rfft bins (w_f = 1 at DC and Nyquist,
+    2 elsewhere): one product of |H_k|^2 sum_r |P_r|^2 and w |P_j|^2 |B|^2.
     """
-    n_p = config.pulse_types
-    if len(templates) != n_p:
-        raise ConfigMismatchError(f"need {n_p} templates, got {len(templates)}")
-    for k, u_set in enumerate(interferer_sets):
-        if len(u_set) != n_p:
-            raise ConfigMismatchError(f"interferer {k} must supply {n_p} composites")
-    interferers = [u for u_set in interferer_sets for u in u_set]
-    dt = _common_dt([*templates, *interferers])
-    _check_frame_separable([*templates, *interferers], config, dt)
-    n_v = max(len(v.samples) for v in templates)
-    n_u = max((len(u.samples) for u in interferers), default=1)
-    nfft = 1 << (n_v + n_u - 2).bit_length()  # smallest power of two >= n_v + n_u - 1
+    dt = _check_pulse_set(pulses, config)
+    offsets = [grid_index(ch.delays, dt) for ch in (desired_chan, *interferer_chans)]
+    taps = np.zeros((len(offsets), max(o[-1] for o in offsets) + 1))  # row 0 is b, row 1 + k is h_k
+    rows = np.repeat(np.arange(len(offsets)), [len(o) for o in offsets])
+    weights = np.concatenate([select_combiner(desired_chan, config), *(ch.gains for ch in interferer_chans)])
+    np.add.at(taps, (rows, np.concatenate(offsets)), weights)
+    starts = [grid_index(p.t0, dt) for p in pulses]
+    stops = [k + len(p.samples) + taps.shape[1] - 1 for k, p in zip(starts, pulses)]
+    _check_frame_span(min(starts), max(stops), config, dt)  # composite supports, first path to last
+    n = taps.shape[1] + max(len(p.samples) for p in pulses) - 1  # the longest composite
+    nfft = 1 << (2 * n - 2).bit_length()  # smallest power of two >= 2n - 1
     w = np.full(nfft // 2 + 1, 2.0)
     w[[0, -1]] = 1.0
-    v_power = np.array([w * np.abs(np.fft.rfft(v.samples, nfft)) ** 2 for v in templates])
-    scale = config.hop_positions**2 * dt**3 / (n_p * config.frame_time * nfft)
-    per_frame = np.zeros((len(interferer_sets), n_p))
-    for k, u_set in enumerate(interferer_sets):
-        u_power = sum(np.abs(np.fft.rfft(u.samples, nfft)) ** 2 for u in u_set)
-        per_frame[k] = v_power @ u_power * scale
+    tap_power = np.abs(np.fft.rfft(taps, nfft)) ** 2
+    pulse_power = np.array([np.abs(np.fft.rfft(p.samples, nfft)) ** 2 for p in pulses])
+    scale = config.hop_positions**2 * dt**3 / (config.pulse_types * config.frame_time * nfft)
+    per_frame = (tap_power[1:] * pulse_power.sum(axis=0)) @ (w * pulse_power * tap_power[0]).T * scale
     total = float(per_frame.sum() / (config.frames_per_symbol * config.hop_positions**2))
-    out_var = float(per_frame.sum() / (n_p * config.hop_positions**2))
+    out_var = float(per_frame.sum() / (config.pulse_types * config.hop_positions**2))
     return MaiVariance(per_frame, total, out_var)
 
 
@@ -174,12 +172,7 @@ class AveragedBep:
     mean_mai_output_variance: float
 
 
-def conditional_bep_terms(
-    config: SystemConfig,
-    pulses,
-    desired_chan,
-    interferer_chans,
-):
+def conditional_bep_terms(config: SystemConfig, pulses, desired_chan, interferer_chans):
     """(signal, MaiVariance, template-energy) for one set of realizations,
     under the RAKE combiner of ``config``.
 
@@ -187,12 +180,8 @@ def conditional_bep_terms(
     template energy, so a noise sweep can reuse these terms.
     """
     desired, templates = rake_composites(pulses, desired_chan, config)
-    interferer_sets = [
-        [composite_waveform(p, ch, ch.gains) for p in pulses] for ch in interferer_chans
-    ]
-    n_p = config.pulse_types
-    signal = sum(decision_statistic(u, v) for u, v in zip(desired, templates)) / math.sqrt(n_p)
-    mai = mai_variance_multi(interferer_sets, templates, config)
+    signal = sum(decision_statistic(u, v) for u, v in zip(desired, templates)) / math.sqrt(config.pulse_types)
+    mai = mai_variance_multi(config, pulses, desired_chan, interferer_chans)
     energy = sum(v.energy for v in templates)
     return signal, mai, energy
 

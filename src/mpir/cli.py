@@ -190,6 +190,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
     except errors.InvalidParameterError as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
+    if resolved["sample_step_ns"] > 0 and not math.isfinite(system.symbol_time / resolved["sample_step_ns"]):
+        raise ConfigError("config.system and sample_step_ns give a symbol too many samples to count")
+    try:  # the lowest Eb/N0 gives the largest noise amplitude
+        ebn0_db_to_noise_sigma(min(resolved["sweep_ebn0_db"], default=0.0))
+    except OverflowError:
+        raise ConfigError("config.sweep_ebn0_db holds an Eb/N0 too low for a finite noise amplitude") from None
     return ExperimentConfig(
         system=system,
         pulse_specs=tuple(resolved["pulses"]),
@@ -385,7 +391,7 @@ def _validate_checks(cfg: ExperimentConfig, seed: int):
 
     # 3. per-frame MAI variance: closed form vs brute force
     desired, (interferer,) = draw_channels(cfg.channel, config, rng_stream(seed, 12), 1)
-    _, mai, _ = analysis.conditional_bep_terms(config, pulses, desired, [interferer])
+    mai = analysis.mai_variance_multi(config, pulses, desired, [interferer])
     est = montecarlo.estimate_mai_variance(
         config, pulses, desired, interferer, 0, 200_000, rng_stream(seed, 13)
     )

@@ -408,8 +408,8 @@ def estimate_mai_variance(
     is the waveform-free oracle for the closed-form per-frame MAI variance.
 
     Samples are drawn in blocks of pulses.BLOCK_SAMPLES // 4, so beyond
-    the n_samples results (and np.var's copy of them) the working set is
-    a fixed 2 MB or so.  Each block draws, from ``rng`` and for all its
+    the n_samples results, centred in place for the variance, the working
+    set is a fixed 2 MB or so.  Each block draws, from ``rng`` and for all its
     samples at once: the offsets tau, the template hop c_j, one bit per
     symbol the interfering frames m_lo..m_hi touch, then the hop c_m and
     polarity d_m of each frame m in order, then the template polarity.
@@ -453,7 +453,8 @@ def estimate_mai_variance(
             idx = (m - frame) * frame_len + (c_m - c_j) * chip + tau + q0s[r]
             acc += d_m * sym_bits[math.floor(m / n_f)] * lookup(phis[r].samples, idx)
         acc *= rng.integers(0, 2, n) * 2 - 1  # template polarity d_j of user 1
-    return float(np.var(out, ddof=1))
+    out -= out.mean()
+    return float(out @ out) / (n_samples - 1)
 
 
 def estimate_noise_variance(
@@ -488,4 +489,5 @@ def estimate_noise_variance(
         rng.standard_normal(out=noise[:take])
         outputs[done : done + take] = dt * scale * (noise[:take] @ t)
         done += take
-    return float(np.var(outputs, ddof=1))
+    outputs -= outputs.mean()
+    return float(outputs @ outputs) / (n_trials - 1)

@@ -121,10 +121,13 @@ def _check_frame_separable(waves, config: SystemConfig, dt: float) -> None:
     rest on this bound.
     """
     t0_idx = [grid_index(w.t0, dt) for w in waves]
-    chip = config.chip_samples(dt)
-    frame = config.frame_samples(dt)
-    extent = max(k + len(w.samples) for k, w in zip(t0_idx, waves)) + (config.hop_positions - 1) * chip
-    if extent - min(0, *t0_idx) > frame:
+    _check_frame_span(min(t0_idx), max(k + len(w.samples) for k, w in zip(t0_idx, waves)), config, dt)
+
+
+def _check_frame_span(start: int, stop: int, config: SystemConfig, dt: float) -> None:
+    """_check_frame_separable's bound on content at samples [start, stop) before the hop."""
+    extent = stop + (config.hop_positions - 1) * config.chip_samples(dt)
+    if extent - min(0, start) > config.frame_samples(dt):
         raise InfeasibleGeometryError(
             "frame content spans more than one frame; the no-inter-frame-"
             "interference bound does not hold for this configuration"

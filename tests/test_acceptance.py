@@ -198,9 +198,7 @@ class TestA3MaiVarianceOracle:
             desired = sample_channel(channel_params, config_double, rng)
             strong = replace(channel_params, power_scale=5.0)
             interferer = sample_channel(strong, config_double, rng)
-            _, templates = rake_composites(pulses, desired, config_double)
-            u_set = [composite_waveform(p, interferer, interferer.gains) for p in pulses]
-            out = mai_variance_multi([u_set], templates, config_double)
+            out = mai_variance_multi(config_double, pulses, desired, [interferer])
             frame = pair % config_double.pulse_types
             closed = out.per_frame[0, frame] / config_double.hop_positions**2
             est = estimate_mai_variance(

@@ -141,18 +141,33 @@ class TestMaiVariance:
         v = [composite_waveform(p, desired, beta) for p in pulses]
         sets = [[composite_waveform(p, ch, ch.gains) for p in pulses] for ch in interferers]
         want = np.array([[_windowed_sigma2(u, v[j], j, cfg) for j in range(n_p)] for u in sets])
-        got = mai_variance_multi(sets, v, cfg).per_frame
+        got = mai_variance_multi(combiner, pulses, desired, interferers).per_frame
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         if n_p == 1:
             classical = mai_variance_classical(sets[1][0], v[0], cfg)
             assert classical == pytest.approx(want[1, 0], rel=1e-12, abs=0)
+
+    def test_paths_on_one_grid_sample_add(self):
+        # two paths of the desired channel and two of an interferer snap to
+        # one grid sample; the tap trains must sum them, as the composites do
+        cfg, pulses, _, _ = _limit_instance(7, 2, 3)
+        desired = ChannelRealization(np.array([0.8, -0.5, 0.6]), np.array([0.0, 9.8, 10.2]) * DT)
+        interferers = [
+            ChannelRealization(np.array([1.1, 0.4, -0.9, 0.3]), np.array([0.0, 30.7, 31.3, 50.0]) * DT),
+            ChannelRealization(np.array([-0.7, 1.2]), np.array([0.0, 42.0]) * DT),
+        ]
+        v = [composite_waveform(p, desired, desired.gains) for p in pulses]
+        sets = [[composite_waveform(p, ch, ch.gains) for p in pulses] for ch in interferers]
+        want = np.array([[_windowed_sigma2(u, v[j], j, cfg) for j in range(2)] for u in sets])
+        got = mai_variance_multi(cfg, pulses, desired, interferers).per_frame
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_past_containment_limit_rejected(self):
         cfg, pulses, desired, interferers = _limit_instance(5, 2, 3, past=1)
         v = [composite_waveform(p, desired, desired.gains) for p in pulses]
         sets = [[composite_waveform(p, ch, ch.gains) for p in pulses] for ch in interferers]
         with pytest.raises(InfeasibleGeometryError):
-            mai_variance_multi(sets, v, cfg)
+            mai_variance_multi(cfg, pulses, desired, interferers)
         with pytest.raises(InfeasibleGeometryError):
             mai_variance_classical(sets[1][0], v[0], replace(cfg, pulse_types=1))
 
@@ -168,18 +183,20 @@ class TestMaiVariance:
         # the correlation support is tiny compared to the frame, so the
         # tau integral sees the full support either way; zero comes from
         # zero gains instead.
-        silent = composite_waveform(mhp4, near, np.array([0.0]))
-        out = mai_variance_multi([[silent]], [v], cfg)
+        silent_chan = ChannelRealization(np.array([0.0]), np.array([0.0]))
+        silent = composite_waveform(mhp4, silent_chan, silent_chan.gains)
+        out = mai_variance_multi(cfg, [mhp4], near, [silent_chan])
         assert out.total == 0.0
         assert mai_variance_classical(silent, v, cfg) == 0.0
 
     def test_quadratic_scaling_in_interferer_gain(self):
         cfg, pulses, desired, interferers = _reference_instance(31)
         _, v = rake_composites(pulses, desired, cfg)
+        loud = ChannelRealization(3.0 * interferers[0].gains, interferers[0].delays)
         u = [composite_waveform(p, interferers[0], interferers[0].gains) for p in pulses]
-        u3 = [composite_waveform(p, interferers[0], 3.0 * interferers[0].gains) for p in pulses]
-        base = mai_variance_multi([u], v, cfg)
-        scaled = mai_variance_multi([u3], v, cfg)
+        u3 = [composite_waveform(p, loud, loud.gains) for p in pulses]
+        base = mai_variance_multi(cfg, pulses, desired, interferers)
+        scaled = mai_variance_multi(cfg, pulses, desired, [loud])
         assert np.allclose(scaled.per_frame, 9.0 * base.per_frame, rtol=1e-12)
         c_base = mai_variance_classical(u[0], v[0], replace(cfg, pulse_types=1))
         c_scaled = mai_variance_classical(u3[0], v[0], replace(cfg, pulse_types=1))
@@ -190,7 +207,7 @@ class TestMaiVariance:
         single = replace(cfg, pulse_types=1)
         _, (v,) = rake_composites(pulses[:1], desired, single)
         u = composite_waveform(pulses[0], interferers[0], interferers[0].gains)
-        multi = mai_variance_multi([[u]], [v], single)
+        multi = mai_variance_multi(single, pulses[:1], desired, interferers)
         classical = mai_variance_classical(u, v, single)
         assert multi.per_frame[0, 0] == pytest.approx(classical, rel=1e-9)
 
@@ -198,9 +215,7 @@ class TestMaiVariance:
         from mpir.montecarlo import estimate_mai_variance
 
         cfg, pulses, desired, interferers = _reference_instance(33)
-        _, v = rake_composites(pulses, desired, cfg)
-        u = [composite_waveform(p, interferers[0], interferers[0].gains) for p in pulses]
-        out = mai_variance_multi([u], v, cfg)
+        out = mai_variance_multi(cfg, pulses, desired, interferers)
         est = estimate_mai_variance(
             cfg, pulses, desired, interferers[0], 0, 300_000, rng_stream(33, 9)
         )
@@ -227,9 +242,7 @@ class TestMaiVariance:
         results = []
         for dt in (DT, DT / 2):
             pulses = [make_mhp(4, 0.05, dt), make_mhp(5, 0.05, dt)]
-            _, v = rake_composites(pulses, desired, cfg)
-            u = [composite_waveform(p, interferer, interferer.gains) for p in pulses]
-            results.append(mai_variance_multi([u], v, cfg).total)
+            results.append(mai_variance_multi(cfg, pulses, desired, [interferer]).total)
         assert results[1] == pytest.approx(results[0], rel=2e-3)
 
 
@@ -238,16 +251,11 @@ class TestMaiVariance:
     @settings(max_examples=8, deadline=None)
     def test_invariant_under_interferer_polarity_flip(self, seed, n_interferers, flip):
         cfg, pulses, desired, interferers = _reference_instance(seed, n_interferers)
-        _, v = rake_composites(pulses, desired, cfg)
         k = flip % n_interferers
         flipped = list(interferers)
         flipped[k] = ChannelRealization(-interferers[k].gains, interferers[k].delays)
-
-        def sets(chans):
-            return [[composite_waveform(p, ch, ch.gains) for p in pulses] for ch in chans]
-
-        base = mai_variance_multi(sets(interferers), v, cfg)
-        out = mai_variance_multi(sets(flipped), v, cfg)
+        base = mai_variance_multi(cfg, pulses, desired, interferers)
+        out = mai_variance_multi(cfg, pulses, desired, flipped)
         np.testing.assert_allclose(out.per_frame, base.per_frame, rtol=1e-12, atol=0)
         assert out.total == pytest.approx(base.total, rel=1e-12)
 
@@ -418,7 +426,9 @@ class TestConditionalBepTerms:
         sets = [[composite_waveform(p, ch, ch.gains) for p in pulses] for ch in interferers]
         sig, mai, energy = conditional_bep_terms(combiner, pulses, desired, interferers)
         assert sig == sum(decision_statistic(a, b) for a, b in zip(u, v)) / math.sqrt(2)
-        assert np.array_equal(mai.per_frame, mai_variance_multi(sets, v, cfg).per_frame)
+        assert np.array_equal(mai.per_frame, mai_variance_multi(combiner, pulses, desired, interferers).per_frame)
+        want = [[_windowed_sigma2(u_set, v[j], j, cfg) for j in range(2)] for u_set in sets]
+        np.testing.assert_allclose(mai.per_frame, want, rtol=1e-12, atol=0)
         assert energy == sum(w.energy for w in v)
 
 

@@ -314,13 +314,18 @@ class TestMain:
             ("sim", small_raw(), ["--threads", "-1"]),
             ("sim", small_raw_with("trials", "max_bits", value=0), []),
             ("sim", small_raw_with("trials", "max_bits", value=-5), []),
+            ("bep", small_raw(sweep_ebn0_db=[0, -3100]), []),
+            ("sim", small_raw(sweep_ebn0_db=[-3100]), []),
+            ("psd", small_raw_with("system", "chip_time_ns", value=1e308), []),
+            ("validate", small_raw_with("system", "chip_time_ns", value=1e308), []),
         ],
         ids=["sim-negative-seed", "psd-negative-seed", "non-numeric-sweep", "nan-sweep",
              "zero-theory-realizations", "pulse-wider-than-chip", "string-order", "string-width",
              "string-psd-symbols", "string-combiner-paths", "string-sample-step",
              "null-sample-step", "zero-segment-symbols", "fractional-users", "bool-users",
              "fractional-order", "zero-psd-symbols", "unknown-scheme", "zero-threads",
-             "negative-threads", "zero-max-bits", "negative-max-bits"],
+             "negative-threads", "zero-max-bits", "negative-max-bits", "bep-overflowing-sweep",
+             "sim-overflowing-sweep", "psd-overflowing-chip-time", "validate-overflowing-chip-time"],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, raw, extra):
         path = write_config(tmp_path, raw)

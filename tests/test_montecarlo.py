@@ -502,8 +502,8 @@ class TestEstimateMaiVariance:
 
     def test_memory_does_not_grow_with_the_budget(self):
         # tracemalloc counts numpy's buffers; at 10^6 draws the 8 MB result
-        # array and np.var's 8 MB temporary are all that may grow with the
-        # budget, the blocks' own arrays take a fixed 2 MB or so
+        # array, centred in place, is all that may grow with the budget,
+        # the blocks' own arrays take a fixed 2 MB or so
         cfg, pulses, desired, interferer = two_user_instance(70)
         tracemalloc.start()
         try:
@@ -511,7 +511,7 @@ class TestEstimateMaiVariance:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestEstimateNoiseVariance:
