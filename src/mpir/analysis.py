@@ -21,8 +21,9 @@ cross-checks in the test suite):
   fault in either shows.  A geometry outside containment raises
   InfeasibleGeometryError.
 * The RAKE combiner is a SystemConfig setting (scheme, selection,
-  combiner_paths); conditional_bep_terms and bep_averaged build their
-  templates from it with transceiver.rake_composites.
+  combiner_paths).  conditional_bep_terms reads the signal, the template
+  energy and the MAI from the tap-train spectra of transceiver._draw_spectra,
+  the spectral core the BER engine reads too, with no composite.
 * sga_bep is the one evaluation of Q(signal / sqrt(mai + s^2 energy)).
   bep_averaged runs conditional_bep_terms then sga_bep per realization;
   bep_single is the classical reference that path reduces to at N_p = 1.
@@ -37,9 +38,9 @@ import numpy as np
 
 from .channel import ChannelParams, draw_channels
 from .errors import ConfigMismatchError, DegenerateInputError, InvalidParameterError
-from .pulses import _common_dt, cross_correlation, grid_index
-from .transceiver import SystemConfig, _check_frame_separable, _check_frame_span, _check_pulse_set
-from .transceiver import decision_statistic, rake_composites, select_combiner
+from .pulses import _common_dt, cross_correlation
+from .transceiver import SystemConfig, _check_frame_separable, _check_frame_span, _draw_spectra
+from .transceiver import decision_statistic
 
 _SQRT_2 = math.sqrt(2.0)
 _erfc = np.vectorize(math.erfc, otypes=[float])
@@ -77,38 +78,9 @@ class MaiVariance:
 
 def mai_variance_multi(config: SystemConfig, pulses, desired_chan, interferer_chans) -> MaiVariance:
     """Conditional MAI variances for every (interferer, frame type) pair
-    on one channel draw, under the RAKE combiner of ``config``.
-
-    Frame containment puts the whole support of phi_{u_r v_j} inside every
-    TH and delay window of the lag integral, so
-    sigma2_M(k, j) = N_h^2 / (N_p T_f) * sum_r dt * sum_x phi_{u_r v_j}^2[x].
-    u_r = p_r * h_k and v_j = p_j * b are pulses on the tap trains of
-    interferer k's gains and of the select_combiner weights, placed as
-    composite_waveform places them.  Discrete Parseval on nfft >= len(u) +
-    len(v) - 1 points gives sum_x phi^2[x] = dt^2 / nfft * sum_f w_f
-    |P_r H_k|^2 |P_j B|^2 over the rfft bins (w_f = 1 at DC and Nyquist,
-    2 elsewhere): one product of |H_k|^2 sum_r |P_r|^2 and w |P_j|^2 |B|^2.
-    """
-    dt = _check_pulse_set(pulses, config)
-    offsets = [grid_index(ch.delays, dt) for ch in (desired_chan, *interferer_chans)]
-    taps = np.zeros((len(offsets), max(o[-1] for o in offsets) + 1))  # row 0 is b, row 1 + k is h_k
-    rows = np.repeat(np.arange(len(offsets)), [len(o) for o in offsets])
-    weights = np.concatenate([select_combiner(desired_chan, config), *(ch.gains for ch in interferer_chans)])
-    np.add.at(taps, (rows, np.concatenate(offsets)), weights)
-    starts = [grid_index(p.t0, dt) for p in pulses]
-    stops = [k + len(p.samples) + taps.shape[1] - 1 for k, p in zip(starts, pulses)]
-    _check_frame_span(min(starts), max(stops), config, dt)  # composite supports, first path to last
-    n = taps.shape[1] + max(len(p.samples) for p in pulses) - 1  # the longest composite
-    nfft = 1 << (2 * n - 2).bit_length()  # smallest power of two >= 2n - 1
-    w = np.full(nfft // 2 + 1, 2.0)
-    w[[0, -1]] = 1.0
-    tap_power = np.abs(np.fft.rfft(taps, nfft)) ** 2
-    pulse_power = np.array([np.abs(np.fft.rfft(p.samples, nfft)) ** 2 for p in pulses])
-    scale = config.hop_positions**2 * dt**3 / (config.pulse_types * config.frame_time * nfft)
-    per_frame = (tap_power[1:] * pulse_power.sum(axis=0)) @ (w * pulse_power * tap_power[0]).T * scale
-    total = float(per_frame.sum() / (config.frames_per_symbol * config.hop_positions**2))
-    out_var = float(per_frame.sum() / (config.pulse_types * config.hop_positions**2))
-    return MaiVariance(per_frame, total, out_var)
+    on one channel draw, under the RAKE combiner of ``config``: the
+    MaiVariance of conditional_bep_terms, which derives it."""
+    return conditional_bep_terms(config, pulses, desired_chan, interferer_chans)[1]
 
 
 def mai_variance_classical(u, v, config: SystemConfig) -> float:
@@ -132,8 +104,12 @@ def noise_variance(templates, config: SystemConfig) -> float:
     (N_f / N_p) * sum_j phi_{v_j}(0), the energy of one bit's template."""
     if len(templates) != config.pulse_types:
         raise ConfigMismatchError(f"need {config.pulse_types} templates")
-    energy = sum(v.energy for v in templates)
-    return config.frames_per_symbol / config.pulse_types * energy
+    return _noise_energy(sum(v.energy for v in templates), config)
+
+
+def _noise_energy(template_energy: float, config: SystemConfig) -> float:
+    """(N_f / N_p) times the templates' energy sum_j E(v_j)."""
+    return config.frames_per_symbol / config.pulse_types * template_energy
 
 
 def sga_bep(signal: float, mai: float, energy: float, noise_sigmas):
@@ -142,13 +118,14 @@ def sga_bep(signal: float, mai: float, energy: float, noise_sigmas):
 
     ``mai`` is the (1/(N_f N_h^2))-scaled MAI sum (MaiVariance.total) and
     ``energy`` the template energy sum_j phi_{v_j}(0), so s^2 * energy is the
-    noise term.  A scalar s gives a float; an array gives an array of the
-    same shape, equal bit for bit to the scalar calls.
+    noise term.  The root is taken as hypot(sqrt(mai), s sqrt(energy)), so
+    no s^2 overflows for a finite s.  A scalar s gives a float; an array
+    gives an array of the same shape, equal bit for bit to the scalar calls.
     """
-    denom = mai + np.square(noise_sigmas) * energy
+    denom = np.hypot(math.sqrt(mai), np.multiply(noise_sigmas, math.sqrt(energy)))
     if np.any(denom <= 0.0):
         raise DegenerateInputError("BEP denominator is zero: no interference and no noise")
-    return qfunc(signal / np.sqrt(denom))
+    return qfunc(signal / denom)
 
 
 def bep_single(u, v, interferer_variances, config: SystemConfig, noise_sigma: float) -> float:
@@ -174,16 +151,35 @@ class AveragedBep:
 
 def conditional_bep_terms(config: SystemConfig, pulses, desired_chan, interferer_chans):
     """(signal, MaiVariance, template-energy) for one set of realizations,
-    under the RAKE combiner of ``config``.
+    under the RAKE combiner of ``config``, with no composite.
 
-    The noise term for noise amplitude s is s**2 times the returned
-    template energy, so a noise sweep can reuse these terms.
+    u_r = p_r * h_k and v_j = p_j * b are the composites of user k (k = 0
+    desired) and the templates, read from the spectra P_r, H_k and
+    T_j = P_j B of transceiver._draw_spectra, where Parseval makes a
+    time-domain sum dt / nfft * sum_f w_f over the rfft bins:
+    signal = sum_j phi_{u_j v_j}(0) / sqrt(N_p)
+           = sum_j dt/nfft sum_f w_f Re(P_j H_0 conj T_j) / sqrt(N_p),
+    and the energy is the core's sum_j E(v_j).
+    Frame containment puts the whole support of phi_{u_r v_j} inside every
+    window of the MAI lag integral, so sigma2_M(k, j) = N_h^2 / (N_p T_f)
+    * sum_r dt * sum_x phi_{u_r v_j}^2[x], where sum_x phi^2[x] = dt^2 / nfft
+    * sum_f w_f |P_r H_k|^2 |T_j|^2.  The noise term for noise amplitude s
+    is s**2 times the returned energy, so a noise sweep can reuse these terms.
     """
-    desired, templates = rake_composites(pulses, desired_chan, config)
-    signal = sum(decision_statistic(u, v) for u, v in zip(desired, templates)) / math.sqrt(config.pulse_types)
-    mai = mai_variance_multi(config, pulses, desired_chan, interferer_chans)
-    energy = sum(v.energy for v in templates)
-    return signal, mai, energy
+    sp = _draw_spectra(config, pulses, desired_chan, interferer_chans)
+    dt, nfft = sp.dt, sp.nfft
+    _check_frame_span(sp.first, sp.first + sp.gains.shape[1] + sp.window - 1, config, dt)  # every composite
+    spectra = np.fft.rfft(sp.gains, nfft)  # row 0 is H_0, row k is H_k
+    signal = dt / nfft * float(sp.weights @ (sp.pulses * spectra[0] * np.conj(sp.templates)).real.sum(axis=0))
+    tap_power = np.abs(spectra[1:])
+    del spectra  # the complex spectra, twice |.|'s size, are not kept beside its square
+    tap_power **= 2
+    template_power = sp.weights * np.abs(sp.templates) ** 2
+    scale = config.hop_positions**2 * dt**3 / (config.pulse_types * config.frame_time * nfft)
+    per_frame = (tap_power * (np.abs(sp.pulses) ** 2).sum(axis=0)) @ template_power.T * scale
+    total = float(per_frame.sum() / (config.frames_per_symbol * config.hop_positions**2))
+    out_var = float(per_frame.sum() / (config.pulse_types * config.hop_positions**2))
+    return signal / math.sqrt(config.pulse_types), MaiVariance(per_frame, total, out_var), sp.energy
 
 
 def bep_averaged(

@@ -419,7 +419,10 @@ def _validate_checks(cfg: ExperimentConfig, seed: int):
     v0 = templates[0]
     one = analysis.bep_single(received[0], v0, [analysis.mai_variance_classical(u_int, v0, single)], single, 0.3)
     diff = abs(multi - one) / max(one, 1e-300)
-    yield "single-pulse reduction identity <= 1e-12", diff <= 1e-12, f"relative diff {diff:.2e}"
+    # the two paths share no code, so they agree to rounding, which moves
+    # with the FFT and BLAS builds; below 1e-13 the report prints the bound
+    shown = "< 1e-13" if diff < 1e-13 else f"{diff:.2e}"  # a nan still prints as nan
+    yield "single-pulse reduction identity <= 1e-12", diff <= 1e-12, f"relative diff {shown}"
 
 
 def cmd_validate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:

@@ -12,11 +12,13 @@ Decisions come from correlation tables, not from sampled received
 signals.  Frames are separable and every offset lies on the sample grid,
 so the noise-free correlator output of each bit is an exact sum of
 lookups in the cross-correlations phi_{u_r v_s} of the users' channel
-composites with the RAKE template composites, built under the combiner
-the SystemConfig carries (the indexing of estimate_mai_variance).  These
-clean outputs equal, up to the order of summation, the correlation of
-each bit's rake_template with the sampled sum of the users' blocks, the
-sample-level reference the tests keep.
+composites u_r = p_r * h_k with the RAKE template composites
+v_s = p_s * b, under the combiner the SystemConfig carries (the indexing
+of estimate_mai_variance), read from the tap-train spectra of the channel
+draw with no composite (_correlation_tables).  These clean outputs equal,
+up to rounding, the correlation of each bit's rake_template with the
+sampled sum of the users' blocks, the sample-level reference the tests
+keep.
 
 The noise is not sampled.  Under frame containment each template frame's
 support lies inside its own frame, so the bits' templates project
@@ -49,11 +51,12 @@ from functools import partial
 
 import numpy as np
 
-from .analysis import noise_variance, qfunc
+from .analysis import _noise_energy, qfunc
 from .channel import ChannelParams, ChannelRealization, composite_waveform, draw_channels
 from .errors import InvalidParameterError
 from .pulses import BLOCK_SAMPLES, cross_correlation, grid_index, lookup
-from .transceiver import SystemConfig, _check_frame_separable, generate_codes, rake_composites, rake_template
+from .transceiver import SystemConfig, _check_frame_span, _draw_spectra
+from .transceiver import generate_codes, rake_composites, rake_template
 
 _ROLE_CHANNEL = 0
 _ROLE_TRAFFIC = 1
@@ -149,11 +152,35 @@ def realization_channels(
     return draw_channels(channel_params, config, rng_ch, config.n_users - 1)
 
 
+def _correlation_tables(config: SystemConfig, pulses, desired_chan, interferer_chans):
+    """(dt, E, tables) of one channel draw, from the spectra of
+    transceiver._draw_spectra: the sample step, the template energy
+    E = sum_s E(v_s), and ``tables``, which yields for the desired user and
+    then each interferer k in turn the (N_p, N_p, 2n - 1) array of
+    phi_{u_r v_s} at lags -(n - 1)..n - 1 (n: a composite's length on the
+    common window): one rfft of h_k and one batched irfft of
+    conj(P_r H_k) P_s B per user, nothing of one user kept for the next.
+    The desired composites are checked for frame containment.
+    """
+    sp = _draw_spectra(config, pulses, desired_chan, interferer_chans)
+    dt, nfft = sp.dt, sp.nfft
+    last = grid_index(desired_chan.delays[-1], dt)
+    _check_frame_span(sp.first, sp.first + sp.window + last, config, dt)  # the desired composites
+    n = sp.gains.shape[1] + sp.window - 1
+    # the templates delayed by n - 1 samples put lags -(n - 1)..n - 1 at 0..2n - 2
+    templates = dt * np.exp(-2j * np.pi / nfft * (np.arange(nfft // 2 + 1) * (n - 1) % nfft)) * sp.templates
+    spectra = sp.pulses  # the generator keeps these two, not the whole core
+    return dt, sp.energy, (
+        np.fft.irfft(np.conj(spectra * np.fft.rfft(h, nfft))[:, None] * templates, nfft)[..., : 2 * n - 1]
+        for h in sp.gains
+    )
+
+
 def _add_user(
     acc: np.ndarray,
     config: SystemConfig,
-    u_set,
-    templates,
+    dt: float,
+    phi: np.ndarray,
     amps: np.ndarray,
     th: np.ndarray,
     shift: int,
@@ -161,22 +188,20 @@ def _add_user(
 ) -> None:
     """Add one user's correlation with every template frame to ``acc``.
 
-    Signal frame m carries amps[m] * u_{m mod N_p} and starts
-    m * T_f + shift + th[m] * T_c (in samples); template frame f carries
-    v_{f mod N_p} at f * T_f + template_th[f] * T_c.  So
+    phi[r, s] is the table of phi_{u_r v_s} from _correlation_tables, lag 0
+    at its middle index q0.  Signal frame m carries amps[m] * u_{m mod N_p}
+    and starts m * T_f + shift + th[m] * T_c (in samples); template frame f
+    carries v_{f mod N_p} at f * T_f + template_th[f] * T_c.  So
     acc[f] += sum_m amps[m] * phi_{u_r v_s}[(m - f) T_f + shift
-    + (th[m] - template_th[f]) T_c + q0_rs], the same indexing as
+    + (th[m] - template_th[f]) T_c + q0], the same indexing as
     estimate_mai_variance; only the few frame distances m - f whose lags
     can reach the tables' support are visited.
     """
-    dt = templates[0].dt
     n_p = config.pulse_types
     chip = config.chip_samples(dt)
     frame = config.frame_samples(dt)
-    phis = [[cross_correlation(u, v) for v in templates] for u in u_set]
-    q0s = [[grid_index(-phi.t0, dt) for phi in row] for row in phis]
-    lag_lo = min(-q0 for row in q0s for q0 in row)
-    lag_hi = max(len(phi.samples) - q0 for row, q_row in zip(phis, q0s) for phi, q0 in zip(row, q_row))
+    q0 = phi.shape[-1] // 2
+    lag_lo, lag_hi = -q0, q0 + 1
     # frame distances e whose lags e*T_f + shift + (TH difference)*T_c
     # can land in [lag_lo, lag_hi)
     reach = (config.hop_positions - 1) * chip
@@ -192,8 +217,8 @@ def _add_user(
             f = slice(first, f_hi, n_p)
             m = slice(first + e, f_hi + e, n_p)
             r = (s + e) % n_p
-            idx = e * frame + shift + (th[m] - template_th[f]) * chip + q0s[r][s]
-            acc[f] += amps[m] * lookup(phis[r][s].samples, idx)
+            idx = e * frame + shift + (th[m] - template_th[f]) * chip + q0
+            acc[f] += amps[m] * lookup(phi[r, s], idx)
 
 
 def _realization_decisions(
@@ -209,9 +234,8 @@ def _realization_decisions(
     their variance.
 
     D is the correlation of the noise-free received signal with each bit's
-    RAKE template (the combiner of ``config``), summed from
-    cross-correlation lookups frame by frame (_add_user); no waveform
-    longer than one composite is built.
+    RAKE template (the combiner of ``config``), summed frame by frame from
+    lookups (_add_user) in the _correlation_tables, one user at a time.
     E_N = (N_f / N_p) * sum_j E(v_j) (analysis.noise_variance) is the
     energy of one bit's template.
     N is sqrt(E_N) times one standard normal per bit from the noise
@@ -219,37 +243,32 @@ def _realization_decisions(
     bit's template with a standard-normal draw per sample, because
     frame containment keeps the bits' template supports disjoint.
     """
-    dt = pulses[0].dt
     n_f = config.frames_per_symbol
-    sym = config.symbol_samples(dt)
     rng_tr = rng_stream(master_seed, index, _ROLE_TRAFFIC)
 
     desired_chan, interferer_chans = realization_channels(
         config, channel_params, master_seed, index
     )
-
-    desired, templates = rake_composites(pulses, desired_chan, config)
-    _check_frame_separable(desired, config, dt)
-    _check_frame_separable(templates, config, dt)
+    dt, template_energy, tables = _correlation_tables(config, pulses, desired_chan, interferer_chans)
+    sym = config.symbol_samples(dt)
 
     bits = rng_tr.integers(0, 2, n_bits) * 2 - 1
     codes = generate_codes(config, n_bits * n_f, rng_tr)
 
     acc = np.zeros(n_bits * n_f)
-    _add_user(acc, config, desired, templates,
+    _add_user(acc, config, dt, next(tables),
               codes.polarity * np.repeat(bits, n_f) / math.sqrt(n_f), codes.th, 0, codes.th)
-    for chan in interferer_chans:
+    for _ in interferer_chans:
         # one extra bit ahead of the window, delayed by an offset in [0, T_s)
         bits_k = rng_tr.integers(0, 2, n_bits + 1) * 2 - 1
         codes_k = generate_codes(config, (n_bits + 1) * n_f, rng_tr)
         offset_idx = int(rng_tr.integers(0, sym))
-        u_set = [composite_waveform(p, chan, chan.gains) for p in pulses]
-        _add_user(acc, config, u_set, templates,
+        _add_user(acc, config, dt, next(tables),
                   codes_k.polarity * np.repeat(bits_k, n_f) / math.sqrt(n_f),
                   codes_k.th, offset_idx - sym, codes.th)
     clean = (acc * codes.polarity).reshape(n_bits, n_f).sum(axis=1)
 
-    noise_energy = noise_variance(templates, config)
+    noise_energy = _noise_energy(template_energy, config)
     unit_noise = math.sqrt(noise_energy) * rng_stream(master_seed, index, _ROLE_NOISE).standard_normal(n_bits)
     return bits, clean, unit_noise, noise_energy
 
@@ -322,7 +341,7 @@ def run_ber_sweep(
 
     Per realization: draw desired and interferer channels, offsets, codes
     and bits; sum each bit's noise-free correlator output D from the
-    composites' cross-correlation tables, and draw its unit-noise
+    correlation tables of the tap-train spectra, and draw its unit-noise
     projection N as one N(0, E_N) normal from the noise stream, equal in
     law to the sample-level projection of white noise on the bit's
     template; detect the bit by the sign of D + sigma * N for every sigma

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,6 +188,55 @@ def select_combiner(chan: ChannelRealization, config: SystemConfig) -> np.ndarra
         else:
             beta[np.argsort(np.abs(chan.gains))[::-1][n:]] = 0.0
     return beta
+
+
+class _DrawSpectra(NamedTuple):
+    """The spectra of one channel draw (_draw_spectra); bins are the
+    nfft // 2 + 1 rfft bins."""
+
+    dt: float
+    first: int  # grid index of every composite's first sample
+    window: int  # samples of the pulse window shared by all pulse types
+    nfft: int
+    weights: np.ndarray  # (bins,) Parseval weights: 1 at DC and Nyquist, 2 elsewhere
+    pulses: np.ndarray  # (N_p, bins) P_r
+    templates: np.ndarray  # (N_p, bins) P_s B, the template composites v_s
+    energy: float  # sum_s E(v_s)
+    gains: np.ndarray  # (K, W) h_0 (the desired user), then each interferer's h_k
+
+
+def _draw_spectra(config: SystemConfig, pulses, desired_chan, interferer_chans) -> _DrawSpectra:
+    """The one spectral core of the closed form and the BER engine.
+
+    The select_combiner weights b of ``desired_chan`` and every user's
+    gains h_k are added on the sample grid with np.add.at at
+    grid_index(delays, dt), as composite_waveform adds paths.  The pulses
+    sit on one window from grid index ``first``, so pulse r on the tap
+    train of user k is that user's composite u_r, and pulse s on b is the
+    template v_s, untrimmed, from ``first``.  nfft is the smallest power of
+    two >= 2n - 1 for the composite length n, so every correlation of two
+    composites is linear, and Parseval makes a time-domain sum
+    dt / nfft * sum_f w_f over the bins; E = sum_s E(v_s) is one.
+    """
+    dt = _check_pulse_set(pulses, config)
+    chans = (desired_chan, desired_chan, *interferer_chans)
+    offsets = [grid_index(ch.delays, dt) for ch in chans]
+    taps = np.zeros((len(chans), max(o[-1] for o in offsets) + 1))  # row 0 is b, row 1 + k is h_k
+    rows = np.repeat(np.arange(len(chans)), [len(o) for o in offsets])
+    weights = np.concatenate([select_combiner(desired_chan, config), *(ch.gains for ch in chans[1:])])
+    np.add.at(taps, (rows, np.concatenate(offsets)), weights)
+    leads = [grid_index(p.t0, dt) for p in pulses]
+    first = min(leads)
+    window = np.zeros((len(pulses), max(k + len(p.samples) for k, p in zip(leads, pulses)) - first))
+    for row, k, p in zip(window, leads, pulses):
+        row[k - first : k - first + len(p.samples)] = p.samples
+    nfft = 1 << (2 * (taps.shape[1] + window.shape[1] - 1) - 2).bit_length()
+    w = np.full(nfft // 2 + 1, 2.0)
+    w[[0, -1]] = 1.0
+    spectra = np.fft.rfft(window, nfft)
+    templates = spectra * np.fft.rfft(taps[0], nfft)
+    energy = dt / nfft * float(w @ (np.abs(templates) ** 2).sum(axis=0))
+    return _DrawSpectra(dt, first, window.shape[1], nfft, w, spectra, templates, energy, taps[1:])
 
 
 def rake_composites(

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,20 @@ class TestCmdBep:
         cfg = load_config(write_config(tmp_path, small_raw(sweep_ebn0_db=[])))
         with pytest.raises(ConfigError, match="empty"):
             cmd_bep(cfg, tmp_path, seed=5)
+
+    def test_lowest_accepted_ebn0_runs_without_warnings(self, tmp_path):
+        # just above the overflow rejection the noise amplitude is about
+        # 1e154, so s^2 * energy would overflow; the BEP must still be 1/2
+        raw = json.loads((Path(__file__).parent / "golden" / "config.json").read_text())
+        raw["sweep_ebn0_db"] = [-3082, 0]
+        path = write_config(tmp_path, raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["bep", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 0
+        rows = [ln for ln in (tmp_path / "o" / "bep.csv").read_text().splitlines()
+                if ln and not ln.startswith(("#", "ebn0"))]
+        assert float(rows[0].split(",")[1]) == 0.5
 
 
 class TestCmdSim:

@@ -11,9 +11,9 @@ from scipy.stats import ks_2samp
 
 from mpir import montecarlo
 from mpir.analysis import qfunc
-from mpir.channel import ChannelParams, composite_waveform, sample_channel
+from mpir.channel import ChannelParams, ChannelRealization, composite_waveform, sample_channel
 from mpir.cli import ebn0_db_to_noise_sigma
-from mpir.errors import InfeasibleGeometryError, InvalidParameterError
+from mpir.errors import ConfigMismatchError, GridMismatchError, InfeasibleGeometryError, InvalidParameterError
 from mpir.montecarlo import (
     BerEstimate,
     TrialPlan,
@@ -26,7 +26,7 @@ from mpir.montecarlo import (
     wilson_bounds,
     wilson_halfwidth,
 )
-from mpir.pulses import BLOCK_SAMPLES, Waveform, grid_index, lookup, make_mhp
+from mpir.pulses import BLOCK_SAMPLES, Waveform, cross_correlation, grid_index, lookup, make_mhp
 from mpir.transceiver import (
     SystemConfig, _assemble, generate_codes, rake_composites, rake_template, select_combiner,
 )
@@ -280,6 +280,10 @@ class TestTableEngine:
     SIGMAS = (0.0, 0.05, 0.2, 0.5, 1.0)
     CHANNEL = ChannelParams(n_paths=12, decay_rate=0.4, lognorm_var=1.0, mean_arrival=1.5)
 
+    # (order, width in ns) of pulse types 1..4; the fourth is narrower, so
+    # it differs from the others in sample count and t0
+    PULSES = ((4, 0.05), (5, 0.05), (3, 0.05), (2, 0.04))
+
     # (pulse types, frames per symbol, hop positions, users, scheme, selection)
     CASES = [
         (1, 2, 3, 3, "mrc", "all"),
@@ -290,6 +294,7 @@ class TestTableEngine:
         (3, 3, 1, 3, "egc", "all"),
         (3, 3, 3, 3, "mrc", "selective"),
         (3, 6, 3, 1, "egc", "selective"),
+        (4, 4, 3, 3, "egc", "selective"),
     ]
 
     @pytest.mark.parametrize("n_p,n_f,n_h,users,scheme,selection", CASES)
@@ -300,7 +305,7 @@ class TestTableEngine:
             pulse_types=n_p, chip_time=1.0, interferer_power=5.0,
             scheme=scheme, selection=selection, combiner_paths=n_paths,
         )
-        pulses = [make_mhp(order, 0.05, DT) for order in (4, 5, 3)[:n_p]]
+        pulses = [make_mhp(order, width, DT) for order, width in self.PULSES[:n_p]]
         seed, n_bits = 11, 12
         indices = [0, 1]
         if selection == "selective":
@@ -322,6 +327,66 @@ class TestTableEngine:
                 config, pulses, self.CHANNEL, n_bits, seed, self.SIGMAS, index
             )
             assert tuple(errors for errors, _ in swept) == counts
+
+    def test_tables_match_composite_cross_correlations(self):
+        # every user's table, lag by lag, against pulses.cross_correlation of
+        # the user's composite with the template composite; the pulses differ
+        # in width, and two paths of each channel share one grid sample
+        config = SystemConfig(
+            n_users=3, frames_per_symbol=2, chips_per_frame=40, hop_positions=3,
+            pulse_types=2, chip_time=1.0, interferer_power=5.0,
+            scheme="mrc", selection="partial", combiner_paths=3,
+        )
+        pulses = [make_mhp(4, 0.05, DT), make_mhp(2, 0.04, DT)]
+        desired = ChannelRealization(np.array([0.5, 0.9, 0.6, -0.3]), np.array([0.0, 3.0, 3.005, 7.5]))
+        interferers = [
+            ChannelRealization(np.array([1.2, -0.7, 0.4, 0.9, -0.2]),
+                               np.array([0.0, 1.0, 1.004, 2.5, 9.0])),
+            ChannelRealization(np.array([-0.8, 0.3]), np.array([0.0, 30.0])),
+        ]
+        beta = select_combiner(desired, config)
+        templates = [composite_waveform(p, desired, beta) for p in pulses]
+        dt, energy, tables = montecarlo._correlation_tables(config, pulses, desired, interferers)
+        assert dt == DT
+        assert energy == pytest.approx(sum(v.energy for v in templates), rel=1e-12)
+        users = [desired, *interferers]
+        for chan, phi in zip(users, tables, strict=True):
+            for r, p in enumerate(pulses):
+                u = composite_waveform(p, chan, chan.gains)
+                for s, v in enumerate(templates):
+                    ref = cross_correlation(u, v)
+                    lo = phi.shape[-1] // 2 + grid_index(ref.t0, DT)  # lag 0 in the middle
+                    assert 0 <= lo and lo + len(ref.samples) <= phi.shape[-1]
+                    want = np.zeros(phi.shape[-1])
+                    want[lo : lo + len(ref.samples)] = ref.samples
+                    np.testing.assert_allclose(phi[r, s], want, rtol=0,
+                                               atol=1e-12 * np.max(np.abs(want)))
+
+    def test_desired_composites_leaving_their_frame_rejected(self):
+        # pulses wider than the frame's slack: the desired composites reach
+        # into the next frame, where no table lookup would see them
+        config = SystemConfig(
+            n_users=2, frames_per_symbol=2, chips_per_frame=4, hop_positions=3,
+            pulse_types=2, chip_time=1.0, interferer_power=5.0,
+        )
+        pulses = [make_mhp(4, 0.3, DT), make_mhp(5, 0.3, DT)]
+        one_path = ChannelParams(n_paths=1, decay_rate=1.0, lognorm_var=0.0, mean_arrival=1.0)
+        with pytest.raises(InfeasibleGeometryError):
+            montecarlo._realization_decisions(config, pulses, one_path, 4, 11, 0)
+
+    @pytest.mark.parametrize("steps, error", [
+        ((DT, DT / 2), GridMismatchError),  # pulses on different sample steps
+        ((DT, DT, DT), ConfigMismatchError),  # one pulse more than N_p = 2
+    ])
+    def test_pulse_set_checked(self, steps, error):
+        config = SystemConfig(
+            n_users=3, frames_per_symbol=2, chips_per_frame=40, hop_positions=3,
+            pulse_types=2, chip_time=1.0, interferer_power=5.0,
+        )
+        pulses = [make_mhp(order, 0.05, step) for order, step in zip((4, 5, 3), steps)]
+        plan = TrialPlan(master_seed=1, n_realizations=1, bits_per_realization=4, min_errors=1)
+        with pytest.raises(error):
+            run_ber(config, pulses, self.CHANNEL, plan, 0.5)
 
     def test_noise_projection_law_matches_waveform_path(self, mhp4, mhp5):
         # the engine draws each bit's N from N(0, E_N); the sample-level
@@ -347,15 +412,16 @@ class TestTableEngine:
         # combined) must still end inside the frame: bit i's decision sums
         # only template frames of bit i
         from mpir.pulses import Waveform
+        from mpir.transceiver import _check_frame_separable
 
         frame = reference_config.frame_samples(DT)
         reach = (reference_config.hop_positions - 1) * reference_config.chip_samples(DT)
         length = frame - reach - 100
         fits = Waveform(np.ones(length), DT, 100 * DT)
-        montecarlo._check_frame_separable([fits], reference_config, DT)
+        _check_frame_separable([fits], reference_config, DT)
         late = Waveform(np.ones(length), DT, 101 * DT)
         with pytest.raises(InfeasibleGeometryError):
-            montecarlo._check_frame_separable([late], reference_config, DT)
+            _check_frame_separable([late], reference_config, DT)
 
 
 class TestQuasiAnalytic:
